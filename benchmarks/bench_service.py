@@ -67,7 +67,7 @@ def test_service_worker_scaling():
     specs = [
         dict(
             sources=[(i * 31) % NUM_NODES], eta=ETA, method="mc",
-            num_samples=NUM_SAMPLES, seed=SEED, backend="numpy",
+            num_samples=NUM_SAMPLES, seed=SEED,
         )
         for i in range(NUM_QUERIES)
     ]

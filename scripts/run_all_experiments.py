@@ -51,7 +51,6 @@ REPORT_ORDER = [
     ("Distance-constrained queries", "hop_constrained"),
     ("Verification ladder — lb / lb+ / mc", "verification_ladder"),
     ("Engine hardening — graceful degradation", "degradation"),
-    ("Data plane — numpy backend speedup", "backend_speedup"),
     ("Serving layer — service throughput", "service"),
     ("Serving layer — sharded scatter-gather", "shards"),
     ("Serving layer — shard transport", "transport"),

@@ -35,7 +35,7 @@ from .errors import (
     PartitionError,
     QueryDeadlineError,
     InjectedFault,
-    BackendUnavailableError,
+    SamplingKernelError,
     ShardUnavailableError,
     WorkerPoolRestartError,
 )
@@ -114,7 +114,7 @@ __all__ = [
     "PartitionError",
     "QueryDeadlineError",
     "InjectedFault",
-    "BackendUnavailableError",
+    "SamplingKernelError",
     "ShardUnavailableError",
     "WorkerPoolRestartError",
     # resilience

@@ -119,10 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("--samples", type=int, default=1000)
     query.add_argument("--seed", type=int, default=0)
-    query.add_argument(
-        "--backend", choices=("auto", "python", "numpy"), default="auto",
-        help="sampling backend for MC verification"
-    )
     query.add_argument("--max-hops", type=int, default=None,
                        help="distance-constrained variant")
     query.add_argument(
@@ -154,10 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     topk.add_argument("--samples", type=int, default=1000)
     topk.add_argument("--seed", type=int, default=0)
-    topk.add_argument(
-        "--backend", choices=("auto", "python", "numpy"), default="auto",
-        help="sampling backend for MC scoring"
-    )
 
     transform = commands.add_parser(
         "transform",
@@ -378,10 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     detect.add_argument("--samples", type=int, default=1000)
     detect.add_argument("--seed", type=int, default=0)
-    detect.add_argument(
-        "--backend", choices=("auto", "python", "numpy"), default="auto",
-        help="sampling backend for MC probes"
-    )
 
     return parser
 
@@ -543,7 +531,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         seed=args.seed,
         multi_source_mode=args.multi_source_mode,
         max_hops=args.max_hops,
-        backend=args.backend,
         budget=budget,
     )
     elapsed = time.perf_counter() - start
@@ -589,7 +576,6 @@ def _cmd_top_k(args: argparse.Namespace) -> int:
         method=args.method,
         num_samples=args.samples,
         seed=args.seed,
-        backend=args.backend,
     )
     print(
         format_table(
@@ -611,7 +597,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         method=args.method,
         num_samples=args.samples,
         seed=args.seed,
-        backend=args.backend,
     )
     print(
         format_table(
@@ -662,7 +647,12 @@ def _build_service(args: argparse.Namespace):
     from .service.pool import AdmissionPolicy
     from .service.server import ReliabilityService
 
-    engine = _load_engine(args.graph, args.index)
+    if getattr(args, "shards", None) is not None:
+        # Each shard builds its own index; a whole-graph one would be
+        # built only to be thrown away.
+        engine = read_edge_list(args.graph)
+    else:
+        engine = _load_engine(args.graph, args.index)
     admission = AdmissionPolicy(
         max_in_flight=getattr(args, "max_in_flight", 64),
         queue_deadline_seconds=(

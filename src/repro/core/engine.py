@@ -30,6 +30,7 @@ from ..estimators import (
     PortfolioConfig,
     QueryPlanner,
     get_estimator,
+    run_estimate,
     validate_method,
 )
 from ..graph.uncertain import UncertainGraph
@@ -85,10 +86,6 @@ class QueryResult:
     #: Fraction of candidates that received a definitive verdict
     #: (1.0 for unbudgeted queries).
     achieved_confidence: float = 1.0
-
-    #: Numpy-kernel batches retried on the Python reference path after a
-    #: kernel failure (see the fallback ladder in :mod:`repro.accel`).
-    backend_fallbacks: int = 0
 
     #: Shards whose answer for *this query* arrived only after the
     #: supervisor respawned the worker holding it (sharded engine with
@@ -263,7 +260,6 @@ class RQTreeEngine:
         seed: Optional[int] = None,
         multi_source_mode: str = "greedy",
         max_hops: Optional[int] = None,
-        backend: str = "auto",
         budget: Optional[QueryBudget] = None,
         coin_source=None,
     ) -> QueryResult:
@@ -300,11 +296,6 @@ class RQTreeEngine:
             unconstrained candidate set remains valid because hop
             bounds only shrink reachability events, so no new candidate
             machinery is needed — only verification changes.
-        backend:
-            Sampling backend for the MC verifier
-            (``"auto"``/``"python"``/``"numpy"``; see
-            :mod:`repro.accel`).  Ignored for ``"lb"``/``"lb+"``,
-            which never sample.
         budget:
             Optional :class:`~repro.resilience.QueryBudget` bounding the
             whole query (wall-clock deadline spanning filtering *and*
@@ -319,7 +310,7 @@ class RQTreeEngine:
             stream (the serving layer's cross-query world batching).
             Never changes the answer: the block's bits are exactly what
             a private draw at *seed* would produce.  Ignored for
-            non-sampling methods and on the pure-python path.
+            non-sampling methods.
         """
         source_list = self._normalize_sources(sources)
         validate_method(method, max_hops=max_hops)
@@ -346,7 +337,6 @@ class RQTreeEngine:
             num_samples=num_samples,
             seed=seed,
             max_hops=max_hops,
-            backend=backend,
             clock=clock,
             coin_source=coin_source,
             config=self.planner.config,
@@ -357,7 +347,7 @@ class RQTreeEngine:
             decision = PlanDecision(
                 estimator=method, reason=f"explicit method {method!r}"
             )
-        report = get_estimator(decision.estimator).estimate(request)
+        report = run_estimate(get_estimator(decision.estimator), request)
         verification_seconds = time.perf_counter() - start
         if method == AUTO:
             self.planner.record_outcome(decision, verification_seconds)
@@ -400,7 +390,6 @@ class RQTreeEngine:
             degraded_reason=degraded_reason,
             worlds_used=report.worlds_used,
             achieved_confidence=report.achieved_confidence,
-            backend_fallbacks=report.backend_fallbacks,
             estimator=estimator_used,
             planner_reason=planner_reason,
             estimates=report.estimates,

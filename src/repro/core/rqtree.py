@@ -94,6 +94,9 @@ class RQTree:
         self.root: Optional[int] = None
         # leaf_of[v] = index of the singleton cluster containing graph node v.
         self._leaf_of: List[Optional[int]] = [None] * num_graph_nodes
+        # Maximum cluster depth, kept by add_cluster (every way a tree
+        # is made goes through it) so reading it never scans clusters.
+        self._height = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -129,6 +132,7 @@ class RQTree:
         index = len(self.clusters)
         node = ClusterNode(index, parent, members_frozen, depth)
         self.clusters.append(node)
+        self._height = max(self._height, depth)
         if parent is None:
             self.root = index
         else:
@@ -201,7 +205,7 @@ class RQTree:
     @property
     def height(self) -> int:
         """Maximum depth over all clusters (root = 0)."""
-        return max((c.depth for c in self.clusters), default=0)
+        return self._height
 
     def leaves(self) -> Iterator[ClusterNode]:
         """Iterate over all leaf clusters."""

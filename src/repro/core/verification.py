@@ -55,8 +55,8 @@ __all__ = [
 ]
 
 #: Worlds per chunk of budgeted MC verification: a multiple of the
-#: numpy kernel's 8-world byte lanes, small enough that deadline checks
-#: and early-stopping tests run every few milliseconds of sampling.
+#: kernel's 64-world words, small enough that deadline checks and
+#: early-stopping tests run every few milliseconds of sampling.
 _BUDGET_CHUNK_WORLDS = 256
 
 #: Relative tolerance when comparing a path probability against eta;
@@ -64,15 +64,13 @@ _BUDGET_CHUNK_WORLDS = 256
 _ETA_SLACK = 1e-9
 
 
-def _record_verify_metrics(worlds: int, fallbacks: int) -> None:
+def _record_verify_metrics(worlds: int) -> None:
     """Count one MC verification pass in the service metrics registry."""
     from ..service.metrics import get_registry
 
     registry = get_registry()
     registry.counter("verify.mc_passes").inc()
     registry.counter("verify.worlds").inc(worlds)
-    if fallbacks:
-        registry.counter("verify.backend_fallbacks").inc(fallbacks)
 
 
 def _check(eta: float, sources: Sequence[int]) -> Set[int]:
@@ -104,9 +102,6 @@ class VerificationReport:
     worlds_used:
         Worlds actually sampled (MC only; 0 for the lower-bound
         verifiers).
-    backend_fallbacks:
-        Numpy-kernel batches that were retried on the Python reference
-        path (see :mod:`repro.accel`).
     estimates:
         Optional per-node reliability point estimates or certified
         lower bounds (estimator-dependent; empty when the verifier does
@@ -121,7 +116,6 @@ class VerificationReport:
     degraded: bool = False
     degraded_reason: Optional[str] = None
     worlds_used: int = 0
-    backend_fallbacks: int = 0
     estimates: Dict[int, float] = field(default_factory=dict)
     #: Name of the estimator that actually produced this report (set by
     #: the :mod:`repro.estimators` layer; ``""`` when a verifier was
@@ -402,19 +396,17 @@ def verify_sampling(
     num_samples: int = 1000,
     seed: Optional[int] = None,
     max_hops: Optional[int] = None,
-    backend: str = "auto",
     budget: Optional[Union[QueryBudget, BudgetClock]] = None,
     coin_source=None,
 ) -> Set[int]:
     """Monte-Carlo verification on the candidate-induced subgraph.
 
-    Samples ``num_samples`` worlds lazily (BFS-coupled) without ever
-    leaving the candidate set, and keeps candidates reached in at least
-    ``eta * num_samples`` worlds.  The sample count is the paper's
+    Samples ``num_samples`` worlds of the candidate-induced subgraph
+    only (the batched kernel of :mod:`repro.accel` never touches a node
+    outside the candidate set), and keeps candidates reached in at
+    least ``eta * num_samples`` worlds.  The sample count is the paper's
     efficiency/accuracy knob (Section 5.2); the paper's experiments use
-    ``K = 1000``.  *backend* selects the sampling implementation
-    (:mod:`repro.accel`); ``"auto"`` counts the candidate set, not the
-    whole graph, when deciding whether the batched kernel pays off.
+    ``K = 1000``.
 
     With a *budget* that runs out before every candidate is decided,
     this set-returning form raises :class:`QueryDeadlineError`; use
@@ -424,7 +416,7 @@ def verify_sampling(
     report = verify_sampling_report(
         graph, sources, eta, candidates,
         num_samples=num_samples, seed=seed, max_hops=max_hops,
-        backend=backend, budget=clock, coin_source=coin_source,
+        budget=clock, coin_source=coin_source,
     )
     return _raise_if_partial(report, clock)
 
@@ -437,7 +429,6 @@ def verify_sampling_report(
     num_samples: int = 1000,
     seed: Optional[int] = None,
     max_hops: Optional[int] = None,
-    backend: str = "auto",
     budget: Optional[Union[QueryBudget, BudgetClock]] = None,
     coin_source=None,
 ) -> VerificationReport:
@@ -451,7 +442,7 @@ def verify_sampling_report(
 
     With a budget, sampling proceeds in chunks of
     :data:`_BUDGET_CHUNK_WORLDS` worlds on one continuous estimator
-    stream (the numpy kernel's byte lanes are reused across chunks).
+    stream (the candidate subgraph is extracted once for all chunks).
     After each chunk every still-undecided candidate's Wilson score
     interval (at the budget's confidence level) is tested against
     ``eta``: an interval clear of ``eta`` settles the node early, and
@@ -483,7 +474,6 @@ def verify_sampling_report(
         seed=seed,
         allowed=subset,
         max_hops=max_hops,
-        backend=backend,
         coin_source=coin_source,
     )
 
@@ -492,12 +482,11 @@ def verify_sampling_report(
         kept = estimator.nodes_above(eta)
         for node in subset:
             statuses[node] = CONFIRMED if node in kept else REJECTED
-        _record_verify_metrics(num_samples, estimator.fallbacks)
+        _record_verify_metrics(num_samples)
         return VerificationReport(
             kept=kept,
             statuses=statuses,
             worlds_used=num_samples,
-            backend_fallbacks=estimator.fallbacks,
             estimates=estimator.frequencies(),
         )
 
@@ -552,13 +541,12 @@ def verify_sampling_report(
     if dropped and degraded_reason is None:
         degraded_reason = "candidate-subgraph cap left candidates unverified"
     kept = {n for n, s in statuses.items() if s == CONFIRMED}
-    _record_verify_metrics(done, estimator.fallbacks)
+    _record_verify_metrics(done)
     return VerificationReport(
         kept=kept,
         statuses=statuses,
         degraded=bool(undecided) or bool(dropped),
         degraded_reason=degraded_reason,
         worlds_used=done,
-        backend_fallbacks=estimator.fallbacks,
         estimates=estimator.frequencies() if done > 0 else {},
     )

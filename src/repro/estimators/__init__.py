@@ -11,7 +11,7 @@ See ``docs/ARCHITECTURE.md`` ("Estimator portfolio & planner") for the
 decision flow and the cost-model inputs.
 """
 
-from .base import EstimateRequest, Estimator
+from .base import EstimateRequest, Estimator, run_estimate
 from .config import DEFAULT_CONFIG, PortfolioConfig
 from .planner import PlanDecision, QueryPlanner, default_planner
 from .registry import (
@@ -42,6 +42,7 @@ __all__ = [
     "is_cacheable",
     "methods_supporting_max_hops",
     "register",
+    "run_estimate",
     "sampling_methods",
     "treewidth_upper_bound",
     "validate_method",

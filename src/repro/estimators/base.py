@@ -18,16 +18,21 @@ special — the caching layers key cacheability off
 from __future__ import annotations
 
 import abc
+import logging
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Set
 
+from ..errors import SamplingKernelError
 from ..graph.uncertain import UncertainGraph
 from ..resilience.budget import CONFIRMED, UNVERIFIED, BudgetClock
 from ..core.verification import VerificationReport
 from .config import DEFAULT_CONFIG, PortfolioConfig
 from .stats import SubgraphStats
 
-__all__ = ["EstimateRequest", "Estimator", "expired_report"]
+__all__ = ["EstimateRequest", "Estimator", "expired_report", "run_estimate"]
+
+#: Structured warnings about degraded execution (kernel failures).
+_LOGGER = logging.getLogger("repro.resilience")
 
 
 @dataclass
@@ -46,7 +51,6 @@ class EstimateRequest:
     num_samples: int = 1000
     seed: Optional[int] = None
     max_hops: Optional[int] = None
-    backend: str = "auto"
     clock: Optional[BudgetClock] = None
     #: Shared packed-coin stream (cross-query world batching); only the
     #: chunked-MC estimator consumes it.
@@ -138,3 +142,32 @@ class Estimator(abc.ABC):
         the estimator that actually produced the answer (fallbacks
         re-point it).
         """
+
+
+def run_estimate(
+    estimator: Estimator, request: EstimateRequest
+) -> VerificationReport:
+    """``estimator.estimate(request)``, degrading on a kernel failure.
+
+    Every engine dispatches through here.  A
+    :class:`~repro.errors.SamplingKernelError` leaves no tally worth
+    keeping, so the answer is the one an expired budget gets
+    (:func:`expired_report`): sources confirmed, every other candidate
+    unverified, and a reason naming the error.  The failure is logged
+    on the ``repro.resilience`` logger; nothing raises.
+    """
+    try:
+        return estimator.estimate(request)
+    except SamplingKernelError as error:
+        _LOGGER.warning(
+            "sampling kernel failed; answer degraded",
+            extra={
+                "event": "sampling_kernel_failed",
+                "estimator": estimator.name,
+                "error_type": type(error.error).__name__,
+                "error": str(error.error),
+            },
+        )
+        report = expired_report(request.sources, request.candidates, str(error))
+        report.estimator = estimator.name
+        return report

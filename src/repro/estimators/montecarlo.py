@@ -11,18 +11,19 @@ early stopping.  This is the only estimator that consumes a shared
 
 from __future__ import annotations
 
-from ..accel import resolve_backend
 from ..core.verification import VerificationReport, verify_sampling_report
 from .base import EstimateRequest, Estimator
 from .stats import SubgraphStats
 
 __all__ = ["MonteCarloEstimator", "predicted_sampling_seconds"]
 
-#: Per-(node+arc)-per-world cost of the pure-python per-world BFS.
-_PY_WORLD_UNIT = 3.5e-7
-#: Per-arc-per-world cost of the packed numpy kernel, plus fixed setup.
-_NP_WORLD_UNIT = 1.6e-9
-_NP_SETUP = 2.5e-4
+#: Per-(node+arc)-per-world cost of the candidate-local kernel, plus a
+#: fixed per-run cost (plan extraction, per-chunk array setup).  Fitted
+#: by least squares to K = 1000 verification runs on the candidate
+#: subgraphs (1 to 2,600 nodes) of single-source queries on BioMine-
+#: and NetHEPT-like stand-ins at n = 6,000-8,000.
+_WORLD_UNIT = 4.0e-9
+_SETUP = 2.5e-4
 
 
 def predicted_sampling_seconds(
@@ -32,14 +33,8 @@ def predicted_sampling_seconds(
     worlds = request.num_samples
     if stats.max_worlds is not None:
         worlds = min(worlds, stats.max_worlds)
-    try:
-        backend = resolve_backend(request.backend, stats.num_nodes)
-    except Exception:
-        backend = "python"
     work = stats.num_nodes + stats.num_arcs
-    if backend == "numpy":
-        return _NP_WORLD_UNIT * work * worlds + _NP_SETUP
-    return _PY_WORLD_UNIT * work * worlds + 2e-5
+    return _WORLD_UNIT * work * worlds + _SETUP
 
 
 class MonteCarloEstimator(Estimator):
@@ -63,7 +58,6 @@ class MonteCarloEstimator(Estimator):
             num_samples=request.num_samples,
             seed=request.seed,
             max_hops=request.max_hops,
-            backend=request.backend,
             budget=request.clock,
             coin_source=request.coin_source,
         )

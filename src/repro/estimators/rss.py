@@ -5,10 +5,13 @@ by "An In-Depth Comparison of s-t Reliability Algorithms over Uncertain
 Graphs", PAPERS.md): pick the ``r`` highest-variance arcs of the
 candidate subgraph as *pivots*, partition the possible-world space into
 the ``2^r`` strata fixing each pivot present/absent, and sample each
-stratum *conditionally* — pivot arcs forced present become certain
-(``p = 1``), forced absent are removed — with the world budget
-allocated proportionally to the stratum weights
-``w_s = prod(p_i or 1-p_i)``.
+stratum *conditionally* — pivot arcs forced present get ``p = 1``,
+forced absent get ``p = 0`` — with the world budget allocated
+proportionally to the stratum weights ``w_s = prod(p_i or 1-p_i)``.
+Every stratum runs on the one batched kernel: the candidate subgraph
+is extracted once (:class:`~repro.accel.ReachPlan`) and each stratum
+samples a copy of it with its pivot states forced, so no query builds
+a subgraph or a CSR snapshot.
 
 The combined estimator ``R(t) = sum_s w_s * freq_s(t)`` is unbiased
 (law of total probability) and has strictly lower variance than crude
@@ -24,7 +27,7 @@ order.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.verification import (
     _ETA_SLACK,
@@ -32,8 +35,7 @@ from ..core.verification import (
     _check,
     _verification_subset,
 )
-from ..graph.sampling import ReachabilityFrequencyEstimator
-from ..graph.uncertain import UncertainGraph
+from ..graph.sampling import ReachabilityFrequencyEstimator, reach_plan
 from ..resilience.budget import CONFIRMED, REJECTED, UNVERIFIED
 from ..seeding import derive_seed
 from .base import EstimateRequest, Estimator, expired_report
@@ -71,10 +73,13 @@ class RecursiveStratifiedEstimator(Estimator):
 
     def cost(self, stats: SubgraphStats, request: EstimateRequest) -> float:
         strata = 2 ** min(request.config.rss_pivots, 8)
-        # Sampling work matches plain MC plus per-stratum subgraph
-        # builds and estimator setup.
-        overhead = strata * (3e-6 * (stats.num_arcs + 1) + 3e-5)
-        return predicted_sampling_seconds(stats, request) * 1.05 + overhead
+        # The same worlds as plain MC, split over the strata: each
+        # stratum pays its own kernel call on a copy of the plan, and
+        # smaller world chunks amortize the per-level work less (fitted
+        # alongside the MC constants).
+        return predicted_sampling_seconds(stats, request) * 1.4 + (
+            strata * 1.9e-4
+        )
 
     def estimate(self, request: EstimateRequest) -> VerificationReport:
         source_set = _check(request.eta, request.sources)
@@ -98,16 +103,16 @@ class RecursiveStratifiedEstimator(Estimator):
         present_sources = sorted(source_set & subset)
         cutoff = request.eta * (1.0 - _ETA_SLACK)
 
-        sub, relabel = request.graph.subgraph(subset).materialize()
-        sub_sources = sorted(relabel[s] for s in present_sources)
-        arcs = list(sub.arcs())
-        # Pivots: highest-variance arcs, deterministic tie-break.
-        by_variance = sorted(
-            (a for a in arcs if 0.0 < a[2] < 1.0),
-            key=lambda a: (-(a[2] * (1.0 - a[2])), a[0], a[1]),
-        )
-        pivots = by_variance[: max(0, request.config.rss_pivots)]
-        pivot_keys = {(u, v) for u, v, _ in pivots}
+        plan = reach_plan(request.graph, subset)
+        probs = plan.probs_f32.astype(float).tolist()
+        heads = plan.nodes[plan.targets].tolist()
+        tails = plan.nodes[plan.predecessors].tolist()
+        # Pivots: highest-variance arcs (plan arc indices), deterministic
+        # tie-break on the arc's global endpoints.
+        pivots = sorted(
+            (i for i, p in enumerate(probs) if 0.0 < p < 1.0),
+            key=lambda i: (-(probs[i] * (1.0 - probs[i])), tails[i], heads[i]),
+        )[: max(0, request.config.rss_pivots)]
 
         worlds = request.num_samples
         if clock is not None and clock.budget.max_worlds is not None:
@@ -119,15 +124,14 @@ class RecursiveStratifiedEstimator(Estimator):
         weights = []
         for assignment in assignments:
             w = 1.0
-            for (u, v, p), present in zip(pivots, assignment):
-                w *= p if present else (1.0 - p)
+            for arc, present in zip(pivots, assignment):
+                w *= probs[arc] if present else (1.0 - probs[arc])
             weights.append(w)
         allocation = _allocate(worlds, weights)
 
         totals: Dict[int, float] = {}
         processed_weight = 0.0
         worlds_used = 0
-        fallbacks = 0
         degraded_reason: Optional[str] = None
         for index, (assignment, weight, quota) in enumerate(
             zip(assignments, weights, allocation)
@@ -140,22 +144,19 @@ class RecursiveStratifiedEstimator(Estimator):
                     f"({index}/{len(assignments)} strata)"
                 )
                 break
-            stratum = self._stratum_graph(sub, arcs, pivot_keys,
-                                          pivots, assignment)
             child_seed = (
                 None
                 if request.seed is None
                 else derive_seed(request.seed, "estimators.rss", index)
             )
             estimator = ReachabilityFrequencyEstimator(
-                stratum,
-                sub_sources,
+                request.graph,
+                present_sources,
                 seed=child_seed,
                 max_hops=request.max_hops,
-                backend=request.backend,
+                plan=plan.with_forced_arcs(pivots, assignment),
             )
             estimator.run(quota)
-            fallbacks += estimator.fallbacks
             worlds_used += quota
             for node, count in estimator.counts().items():
                 totals[node] = totals.get(node, 0.0) + weight * count / quota
@@ -163,9 +164,8 @@ class RecursiveStratifiedEstimator(Estimator):
 
         estimates: Dict[int, float] = {}
         if processed_weight > 0.0:
-            inverse = {new: old for old, new in relabel.items()}
             for node, value in totals.items():
-                estimates[inverse[node]] = value / processed_weight
+                estimates[node] = value / processed_weight
         for node in subset:
             if processed_weight <= 0.0:
                 statuses[node] = (
@@ -189,31 +189,7 @@ class RecursiveStratifiedEstimator(Estimator):
             degraded=degraded_reason is not None,
             degraded_reason=degraded_reason,
             worlds_used=worlds_used,
-            backend_fallbacks=fallbacks,
             estimates=estimates,
         )
         report.estimator = self.name
         return report
-
-    @staticmethod
-    def _stratum_graph(
-        sub: UncertainGraph,
-        arcs: List[Tuple[int, int, float]],
-        pivot_keys,
-        pivots,
-        assignment,
-    ) -> UncertainGraph:
-        """The conditional subgraph of one stratum: forced-present pivots
-        become certain arcs, forced-absent pivots disappear."""
-        forced = {
-            (u, v): present
-            for (u, v, _), present in zip(pivots, assignment)
-        }
-        stratum = UncertainGraph(sub.num_nodes)
-        for u, v, p in arcs:
-            if (u, v) in forced:
-                if forced[(u, v)]:
-                    stratum.add_arc(u, v, 1.0)
-            else:
-                stratum.add_arc(u, v, p)
-        return stratum

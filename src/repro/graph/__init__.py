@@ -17,11 +17,7 @@ from .paths import (
     prob_to_distance,
     distance_to_prob,
 )
-from .sampling import (
-    WorldSampler,
-    sample_reachable,
-    ReachabilityFrequencyEstimator,
-)
+from .sampling import ReachabilityFrequencyEstimator
 from .exact import (
     exact_reliability,
     exact_reliability_bruteforce,
@@ -69,8 +65,6 @@ __all__ = [
     "most_likely_path_probabilities",
     "prob_to_distance",
     "distance_to_prob",
-    "WorldSampler",
-    "sample_reachable",
     "ReachabilityFrequencyEstimator",
     "exact_reliability",
     "exact_reliability_bruteforce",

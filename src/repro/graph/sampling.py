@@ -1,153 +1,40 @@
-"""Possible-world sampling primitives.
+"""Possible-world sampling: the one entry point every sampled world takes.
 
 Possible-world semantics (paper, Section 2) interpret an uncertain graph as
 a distribution over deterministic subgraphs: world ``G`` keeps each arc
-``a`` independently with probability ``p(a)``.  This module provides
-
-* :class:`WorldSampler` — materialize full worlds (useful for tests and
-  for the exact/brute-force oracle),
-* :func:`sample_reachable` — the paper's *lazy* sampler: a BFS from the
-  source set that flips each out-arc's coin only when the BFS first
-  touches it.  For reachability queries this is distributionally
-  equivalent to materializing the full world (each arc's indicator is
-  read at most once per world) while only paying for the part of the
-  world the BFS actually visits.
-* :class:`ReachabilityFrequencyEstimator` — tallies per-node hit counts
-  across ``K`` worlds; both the MC-Sampling baseline and RQ-tree-MC
-  verification are thin wrappers over it.
+``a`` independently with probability ``p(a)``.
+:class:`ReachabilityFrequencyEstimator` tallies per-node hit counts
+across ``K`` worlds of the candidate-induced subgraph (paper,
+Section 5.2) on the batched kernel of :mod:`repro.accel.mc_kernel`.
+The MC-Sampling baseline, RQ-tree-MC verification and the ``lazy`` /
+``rss`` / ``exact``-fallback estimators are all thin wrappers over it.
 """
 
 from __future__ import annotations
 
-import logging
-import random
-from collections import Counter, deque
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Set
 
-from ..accel import resolve_backend, sample_reach_batch
-from .uncertain import UncertainGraph, WeightedArc
+import numpy as np
 
-#: Structured warnings about degraded execution (backend fallback).
-_LOGGER = logging.getLogger("repro.resilience")
+from ..accel import ReachPlan, csr_snapshot, sample_reach_batch
+from ..errors import SamplingKernelError
+from .uncertain import UncertainGraph
 
-__all__ = [
-    "WorldSampler",
-    "sample_reachable",
-    "ReachabilityFrequencyEstimator",
-]
+__all__ = ["ReachabilityFrequencyEstimator", "reach_plan"]
 
 
-class WorldSampler:
-    """Samples complete possible worlds of an uncertain graph.
+def reach_plan(
+    graph: UncertainGraph, allowed: Optional[Iterable[int]] = None
+) -> ReachPlan:
+    """The kernel's plan for *graph* restricted to *allowed*.
 
-    Parameters
-    ----------
-    graph:
-        The uncertain graph to sample from.
-    seed:
-        Seed for the private :class:`random.Random` instance.  Two
-        samplers built with the same seed generate identical world
-        sequences, which the tests rely on.
+    Raises :class:`~repro.errors.SamplingKernelError` when the CSR
+    snapshot cannot be taken, like every other kernel failure.
     """
-
-    def __init__(self, graph: UncertainGraph, seed: Optional[int] = None) -> None:
-        self._graph = graph
-        self._rng = random.Random(seed)
-        self._arc_list: Optional[List[WeightedArc]] = None
-        self._arc_version = -1
-
-    def _arcs(self) -> List[WeightedArc]:
-        """The graph's arc list, snapshotted once and reused per version.
-
-        Re-walking the dict-of-dicts ``arcs()`` generator on every world
-        dominates ``sample_world`` on dense graphs; the snapshot is
-        rebuilt only when :attr:`UncertainGraph.version` shows the graph
-        mutated since it was taken.
-        """
-        version = self._graph.version
-        if self._arc_list is None or self._arc_version != version:
-            self._arc_list = list(self._graph.arcs())
-            self._arc_version = version
-        return self._arc_list
-
-    def sample_world(self) -> List[Tuple[int, int]]:
-        """Draw one world; returns the list of arcs that exist in it."""
-        rng_random = self._rng.random
-        return [
-            (u, v)
-            for u, v, p in self._arcs()
-            if rng_random() < p
-        ]
-
-    def sample_world_adjacency(self) -> List[List[int]]:
-        """Draw one world as a successor-list adjacency structure."""
-        adjacency: List[List[int]] = [[] for _ in range(self._graph.num_nodes)]
-        rng_random = self._rng.random
-        for u, v, p in self._arcs():
-            if rng_random() < p:
-                adjacency[u].append(v)
-        return adjacency
-
-    def worlds(self, count: int) -> Iterable[List[Tuple[int, int]]]:
-        """Generate *count* independent worlds."""
-        for _ in range(count):
-            yield self.sample_world()
-
-
-def sample_reachable(
-    graph: UncertainGraph,
-    sources: Iterable[int],
-    rng: random.Random,
-    allowed: Optional[Set[int]] = None,
-    max_hops: Optional[int] = None,
-) -> Set[int]:
-    """Nodes reachable from *sources* in one lazily-sampled world.
-
-    This implements the paper's "sampling ... performed online, i.e.,
-    combined with a BFS from the source set" (Section 7.1): each arc's
-    existence coin is flipped the first time the BFS considers it.
-    Within a single world a BFS considers each arc at most once, so the
-    lazy scheme draws from exactly the same distribution as materializing
-    the world up front.
-
-    Parameters
-    ----------
-    allowed:
-        Restricts the walk to a node set (the candidate-induced subgraph
-        during RQ-tree-MC verification, paper Section 5.2).
-    max_hops:
-        Optional hop budget: only nodes within *max_hops* arcs of the
-        sources (in the sampled world) are reported.  BFS visits nodes
-        in hop order, so the first visit realises the world's true hop
-        distance and the truncation is exact — this is the
-        distance-constrained reachability of Jin et al. [20].
-    """
-    visited: Set[int] = set()
-    frontier: deque = deque()
-    for s in sources:
-        if allowed is not None and s not in allowed:
-            continue
-        if s not in visited:
-            visited.add(s)
-            frontier.append(s)
-    rng_random = rng.random
-    depth = 0
-    while frontier:
-        if max_hops is not None and depth >= max_hops:
-            break
-        next_frontier: deque = deque()
-        for u in frontier:
-            for v, p in graph.successors(u).items():
-                if v in visited:
-                    continue
-                if allowed is not None and v not in allowed:
-                    continue
-                if rng_random() < p:
-                    visited.add(v)
-                    next_frontier.append(v)
-        frontier = next_frontier
-        depth += 1
-    return visited
+    try:
+        return ReachPlan(csr_snapshot(graph), allowed)
+    except Exception as error:
+        raise SamplingKernelError(error) from error
 
 
 class ReachabilityFrequencyEstimator:
@@ -156,35 +43,33 @@ class ReachabilityFrequencyEstimator:
     The estimate ``count[t] / K`` is an unbiased estimator of
     ``R(S, t)`` (paper, Eq. 2).  Thresholding the counts at ``eta * K``
     answers a reliability-search query the way the MC-Sampling baseline
-    does.
+    does.  Deterministic per seed: worlds are drawn from
+    ``numpy.random.default_rng(seed)`` over the candidate subgraph in
+    ascending node-id order.
 
     Parameters
     ----------
-    backend:
-        ``"python"`` runs the reference lazy-BFS sampler world by
-        world; ``"numpy"`` runs the batched CSR kernel of
-        :mod:`repro.accel.mc_kernel`; ``"auto"`` (default) picks numpy
-        above :data:`repro.accel.AUTO_NODE_THRESHOLD` effective nodes.
-        Both backends are deterministic per seed and draw from the same
-        distribution, but their concrete samples differ for a given
-        seed (they consume the random stream in different orders).
+    allowed:
+        Restricts sampling to a node set (the candidate-induced
+        subgraph); ``None`` samples the whole graph.
+    max_hops:
+        Optional hop budget (distance-constrained reachability, Jin et
+        al. [20]).
+    coin_source:
+        A :class:`repro.accel.coins.CoinBlock` from which the kernel
+        reads its packed arc coins instead of drawing privately — the
+        serving layer's cross-query world batching.  The block replays
+        the exact bits a private ``default_rng(seed)`` draw over the
+        same candidate set would produce, so results are unchanged.
+    plan:
+        A prebuilt :class:`~repro.accel.ReachPlan` to sample instead of
+        the *allowed* subgraph (recursive stratified sampling passes
+        one stratum's plan per estimator).
 
-    Failure behaviour: when ``backend="auto"`` resolved to numpy and the
-    kernel raises (a defect, or an injected fault), the estimator logs a
-    warning on the ``repro.resilience`` logger and re-runs the failed
-    batch — and everything after it — on the Python reference path.
-    The Python RNG is seeded at construction and untouched by numpy
-    attempts, so a fallback run is byte-identical to one that requested
-    ``backend="python"`` up front.  An explicit ``backend="numpy"``
-    request propagates the failure instead.
-
-    *coin_source* (a :class:`repro.accel.coins.CoinBlock`) makes the
-    numpy path read its packed arc coins from a shared block instead of
-    drawing privately — the serving layer's cross-query world batching.
-    The block replays the exact bits a private ``default_rng(seed)``
-    draw would produce, so results are unchanged; on the python path
-    (including fallback after a kernel failure) it is ignored, which is
-    safe because the python RNG never shared anything to begin with.
+    The plan is extracted on the first :meth:`run` and reused by every
+    later one, so chunked callers pay for it once.  Any failure of the
+    kernel raises :class:`~repro.errors.SamplingKernelError`; the
+    estimator's tallies are then left as they were before the call.
     """
 
     def __init__(
@@ -192,107 +77,61 @@ class ReachabilityFrequencyEstimator:
         graph: UncertainGraph,
         sources: Sequence[int],
         seed: Optional[int] = None,
-        allowed: Optional[Set[int]] = None,
+        allowed: Optional[Iterable[int]] = None,
         max_hops: Optional[int] = None,
-        backend: str = "auto",
         coin_source=None,
-        lanes=None,
+        plan: Optional[ReachPlan] = None,
     ) -> None:
         self._graph = graph
         self._sources = list(sources)
         self._allowed = allowed
         self._max_hops = max_hops
-        self._lanes = lanes
-        effective_nodes = (
-            graph.num_nodes
-            if allowed is None
-            else min(graph.num_nodes, len(allowed))
-        )
-        self._requested_backend = backend
-        self._backend = resolve_backend(backend, effective_nodes)
         self._coin_source = coin_source
-        self._rng = random.Random(seed)
-        if self._backend == "numpy":
-            import numpy
-
-            self._np_rng = numpy.random.default_rng(seed)
-        self._counts: Counter = Counter()
+        self._plan = plan
+        self._rng = np.random.default_rng(seed)
+        self._counts: Optional[np.ndarray] = None
         self._num_worlds = 0
-        self._fallbacks = 0
+
+    @property
+    def backend(self) -> str:
+        """The sampler behind :meth:`run`; there is exactly one."""
+        return "numpy"
 
     @property
     def num_worlds(self) -> int:
         """Number of worlds sampled so far."""
         return self._num_worlds
 
-    @property
-    def backend(self) -> str:
-        """The resolved backend (``"python"`` or ``"numpy"``)."""
-        return self._backend
-
-    @property
-    def fallbacks(self) -> int:
-        """How many batches were retried on the Python reference path
-        after a numpy-kernel failure (always 0 for explicit backends)."""
-        return self._fallbacks
-
     def counts(self) -> Dict[int, int]:
-        """Raw per-node hit counts accumulated so far (a copy)."""
-        return dict(self._counts)
+        """Raw per-node hit counts accumulated so far (nodes reached at
+        least once)."""
+        if self._counts is None:
+            return {}
+        hit = self._counts.nonzero()[0]
+        return dict(
+            zip(self._plan.nodes[hit].tolist(), self._counts[hit].tolist())
+        )
 
     def run(self, num_worlds: int) -> "ReachabilityFrequencyEstimator":
         """Sample *num_worlds* additional worlds, accumulating counts."""
-        if self._backend == "numpy":
-            try:
-                batch = sample_reach_batch(
-                    self._graph,
-                    self._sources,
-                    num_worlds,
-                    self._np_rng,
-                    allowed=self._allowed,
-                    max_hops=self._max_hops,
-                    coin_source=self._coin_source,
-                    world_offset=self._num_worlds,
-                    lanes=self._lanes,
-                )
-            except Exception as exc:
-                if self._requested_backend != "auto":
-                    raise
-                # Degrade, don't die: auto promised "at least as good as
-                # the seed code".  The Python RNG was seeded at
-                # construction and never consumed by numpy attempts, so
-                # from here on the run is byte-identical to a
-                # backend="python" one.
-                _LOGGER.warning(
-                    "numpy sampling backend failed; falling back to the "
-                    "python reference path",
-                    extra={
-                        "event": "backend_fallback",
-                        "error_type": type(exc).__name__,
-                        "error": str(exc),
-                        "worlds": num_worlds,
-                        "fallback_backend": "python",
-                    },
-                )
-                self._backend = "python"
-                self._fallbacks += 1
-            else:
-                hit = batch.counts.nonzero()[0]
-                self._counts.update(
-                    dict(zip(hit.tolist(), batch.counts[hit].tolist()))
-                )
-                self._num_worlds += num_worlds
-                return self
-        counts = self._counts
-        for _ in range(num_worlds):
-            reached = sample_reachable(
-                self._graph,
+        if self._plan is None:
+            self._plan = reach_plan(self._graph, self._allowed)
+        try:
+            batch = sample_reach_batch(
+                self._plan,
                 self._sources,
+                num_worlds,
                 self._rng,
-                self._allowed,
                 max_hops=self._max_hops,
+                coin_source=self._coin_source,
+                world_offset=self._num_worlds,
             )
-            counts.update(reached)
+        except Exception as error:
+            raise SamplingKernelError(error) from error
+        if self._counts is None:
+            self._counts = batch.counts
+        else:
+            self._counts += batch.counts
         self._num_worlds += num_worlds
         return self
 
@@ -301,7 +140,7 @@ class ReachabilityFrequencyEstimator:
         if self._num_worlds == 0:
             return {}
         k = self._num_worlds
-        return {node: count / k for node, count in self._counts.items()}
+        return {node: count / k for node, count in self.counts().items()}
 
     def nodes_above(self, eta: float) -> Set[int]:
         """Nodes reached in at least ``ceil(eta * K)`` worlds.
@@ -316,6 +155,6 @@ class ReachabilityFrequencyEstimator:
         threshold = eta * self._num_worlds
         return {
             node
-            for node, count in self._counts.items()
+            for node, count in self.counts().items()
             if count >= threshold
         }

@@ -87,10 +87,9 @@ class UncertainGraph:
         self._pred: List[Dict[int, float]] = [dict() for _ in range(n)]
         self._num_arcs = 0
         # Mutation counter: bumped by every structural change.  Derived
-        # snapshots (the CSR arrays in :mod:`repro.accel.csr`, the arc
-        # list cached by :class:`~repro.graph.sampling.WorldSampler`)
-        # record the version they were built at and rebuild when it no
-        # longer matches.
+        # snapshots (the CSR arrays in :mod:`repro.accel.csr`) record
+        # the version they were built at and rebuild when it no longer
+        # matches.
         self._version = 0
         # Epoch counter: bumped only by the live update plane
         # (:mod:`repro.live`) when a batch of updates is committed and a

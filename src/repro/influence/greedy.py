@@ -138,13 +138,12 @@ def greedy_mc(
     seed: Optional[int] = None,
     candidates: Optional[Sequence[int]] = None,
     use_celf: bool = True,
-    backend: str = "auto",
 ) -> GreedyTrace:
     """Greedy with the Monte-Carlo spread oracle (the Figure 5 baseline)."""
 
     def oracle(seeds: Sequence[int]) -> float:
         return expected_spread_mc(
-            graph, seeds, num_samples=num_samples, seed=seed, backend=backend
+            graph, seeds, num_samples=num_samples, seed=seed
         )
 
     return greedy_influence(

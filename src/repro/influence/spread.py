@@ -23,13 +23,13 @@ to the machinery this library already has:
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..accel import resolve_backend, sample_reach_batch
+import numpy as np
+
+from ..accel import sample_reach_batch
 from ..core.engine import RQTreeEngine
 from ..errors import EmptySourceSetError
-from ..graph.sampling import sample_reachable
 from ..graph.uncertain import UncertainGraph
 
 __all__ = [
@@ -47,36 +47,24 @@ def expected_spread_mc(
     seeds: Sequence[int],
     num_samples: int = 1000,
     seed: Optional[int] = None,
-    backend: str = "auto",
 ) -> float:
     """Monte-Carlo estimate of the expected spread ``σ(seeds)``.
 
-    Averages the reachable-set size over *num_samples* lazily sampled
-    worlds.  Unbiased; this is both the baseline Greedy's inner oracle
-    and the paper's final accuracy yardstick for Figure 5.  *backend*
-    selects the sampling implementation (:mod:`repro.accel`); the
-    batched kernel tallies per-world reached-set sizes directly.
+    Averages the reachable-set size over *num_samples* sampled worlds
+    of the whole graph.  Unbiased; this is both the baseline Greedy's
+    inner oracle and the paper's final accuracy yardstick for Figure 5.
+    The batched kernel (:mod:`repro.accel`) tallies per-world
+    reached-set sizes directly.
     """
     seed_list = list(dict.fromkeys(seeds))
     if not seed_list:
         raise EmptySourceSetError()
     if num_samples <= 0:
         raise ValueError(f"num_samples must be positive, got {num_samples}")
-    if resolve_backend(backend, graph.num_nodes) == "numpy":
-        import numpy
-
-        batch = sample_reach_batch(
-            graph,
-            seed_list,
-            num_samples,
-            numpy.random.default_rng(seed),
-        )
-        return float(batch.world_sizes.mean())
-    rng = random.Random(seed)
-    total = 0
-    for _ in range(num_samples):
-        total += len(sample_reachable(graph, seed_list, rng))
-    return total / num_samples
+    batch = sample_reach_batch(
+        graph, seed_list, num_samples, np.random.default_rng(seed)
+    )
+    return float(batch.world_sizes.mean())
 
 
 def expected_spread_histogram(

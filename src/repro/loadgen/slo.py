@@ -35,7 +35,7 @@ from ..service.metrics import get_registry
 __all__ = ["SLOTargets", "SLOTracker", "REPORT_SCHEMA_VERSION"]
 
 #: Bumped whenever the report's key set changes incompatibly.
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,6 @@ class SLOTracker:
         self._degraded_reasons: Dict[str, int] = {}
         self._error_types: Dict[str, int] = {}
         self._worlds_used = 0
-        self._backend_fallbacks = 0
         self._confidence_sum = 0.0
         self._confidence_n = 0
         self._storms = 0
@@ -144,13 +143,6 @@ class SLOTracker:
                 quality.get("shards_recovered") or 0
             )
             self._worlds_used += int(quality.get("worlds_used") or 0)
-            # Not part of the 8-key quality block, but on every query
-            # result: how often the numpy fast path died and the python
-            # reference re-ran the batch.  Under a fault storm this is
-            # the healed-not-degraded signal.
-            self._backend_fallbacks += int(
-                (payload or {}).get("backend_fallbacks") or 0
-            )
             confidence = quality.get("achieved_confidence")
             if confidence is not None:
                 self._confidence_sum += float(confidence)
@@ -225,7 +217,6 @@ class SLOTracker:
             )
             error_types = dict(sorted(self._error_types.items()))
             worlds_used = self._worlds_used
-            backend_fallbacks = self._backend_fallbacks
             confidence_sum = self._confidence_sum
             confidence_n = self._confidence_n
             storms = self._storms
@@ -311,7 +302,6 @@ class SLOTracker:
             },
             "quality": {
                 "worlds_used_total": worlds_used,
-                "backend_fallbacks": backend_fallbacks,
                 "mean_achieved_confidence": (
                     round(confidence_sum / confidence_n, 5)
                     if confidence_n else 0.0

@@ -2,9 +2,10 @@
 
 Monte-Carlo sampling on the *whole graph*: draw ``K`` possible worlds
 and return every node reachable from the source set in at least
-``η K`` of them.  Sampling is performed online, combined with a BFS from
-the source set (arc coins are flipped lazily as the BFS reaches them),
-exactly as the paper describes for its baseline implementation.
+``η K`` of them.  The paper's baseline samples online, flipping arc
+coins as a BFS from the source set reaches them; the batched kernel of
+:mod:`repro.accel` draws the coins of a chunk of worlds up front and
+runs all their BFSs at once, which samples the same distribution.
 
 This is also the paper's accuracy proxy: with large ``K`` the estimator
 converges to the true answer, so RQ-tree precision/recall are measured
@@ -51,14 +52,12 @@ def mc_sampling_search(
     num_samples: int = 1000,
     seed: Optional[int] = None,
     max_hops: Optional[int] = None,
-    backend: str = "auto",
 ) -> MCSamplingResult:
     """Answer ``RS(S, eta)`` with whole-graph Monte-Carlo sampling.
 
     Time complexity ``O(K (n + m))`` (Table 1): each of the ``K`` worlds
-    costs one (lazy) BFS over at most the whole graph.  *backend*
-    selects the sampling implementation (``"auto"``/``"python"``/
-    ``"numpy"``; see :mod:`repro.accel`).
+    costs one BFS over at most the whole graph, run on the batched
+    kernel of :mod:`repro.accel`.
     """
     source_list = _normalize(sources)
     if math.isnan(eta) or not 0.0 < eta < 1.0:
@@ -67,7 +66,7 @@ def mc_sampling_search(
         raise ValueError(f"num_samples must be positive, got {num_samples}")
     start = time.perf_counter()
     estimator = ReachabilityFrequencyEstimator(
-        graph, source_list, seed=seed, max_hops=max_hops, backend=backend
+        graph, source_list, seed=seed, max_hops=max_hops
     )
     estimator.run(num_samples)
     nodes = estimator.nodes_above(eta)
@@ -86,12 +85,11 @@ def mc_reliability(
     target: int,
     num_samples: int = 1000,
     seed: Optional[int] = None,
-    backend: str = "auto",
 ) -> float:
     """Two-terminal(-style) reliability estimate ``R(S, t)`` by sampling."""
     source_list = _normalize(sources)
     estimator = ReachabilityFrequencyEstimator(
-        graph, source_list, seed=seed, backend=backend
+        graph, source_list, seed=seed
     )
     estimator.run(num_samples)
     return estimator.frequencies().get(target, 0.0)

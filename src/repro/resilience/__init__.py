@@ -7,10 +7,11 @@ holds the three legs of that contract:
   deadline, world cap, candidate-subgraph cap) and the per-node
   verification statuses (:data:`CONFIRMED` / :data:`REJECTED` /
   :data:`UNVERIFIED`) that budgeted queries report instead of raising;
-* automatic backend fallback — the sampling estimator retries any
-  failing numpy kernel chunk on the pure-Python reference path (see
-  :class:`repro.graph.sampling.ReachabilityFrequencyEstimator`), so
-  ``backend="auto"`` can never fail harder than the Python seed code;
+* kernel-failure degradation — a failing sampling kernel (see
+  :class:`repro.graph.sampling.ReachabilityFrequencyEstimator`) turns
+  into a degraded answer with every non-source candidate unverified,
+  never an exception out of a query
+  (:func:`repro.estimators.base.run_estimate`);
 * :mod:`repro.resilience.faultinject` — named, deterministic injection
   points (:class:`FaultPlan`) with which the test suite proves every
   degradation path end to end.

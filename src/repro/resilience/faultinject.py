@@ -1,6 +1,6 @@
 """Deterministic fault injection for resilience testing.
 
-The library's degradation machinery (backend fallback, partial results,
+The library's degradation machinery (kernel failures, partial results,
 typed error surfaces) is only trustworthy if every path is *provoked*
 under test, not just reasoned about.  This module compiles named
 injection points into the hot paths — each one a single dict lookup when
@@ -9,7 +9,8 @@ them deterministically:
 
     plan = FaultPlan({"mc.kernel.chunk": "always"})
     with plan:
-        engine.query(0, eta=0.5, method="mc", backend="auto")
+        result = engine.query(0, eta=0.5, method="mc")
+    assert result.degraded
     assert plan.hits("mc.kernel.chunk") > 0
 
 A trigger is either ``"always"`` (every hit raises), an integer ``N``

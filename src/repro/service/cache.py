@@ -75,7 +75,6 @@ class TTLResultCache:
         seed: Optional[int],
         multi_source_mode: str,
         max_hops: Optional[int],
-        backend: str,
     ) -> Hashable:
         """The full query signature, including the graph version.
 
@@ -88,7 +87,7 @@ class TTLResultCache:
             source_key = frozenset(sources)
         return (
             graph_version, source_key, eta, method, num_samples, seed,
-            multi_source_mode, max_hops, backend,
+            multi_source_mode, max_hops,
         )
 
     def __len__(self) -> int:

@@ -7,7 +7,7 @@ no-new-dependencies rule.  Three endpoints:
 * ``POST /query`` — body is a JSON object with the same fields as
   :meth:`ReliabilityService.submit` (``sources``, ``eta``, optional
   ``method`` / ``num_samples`` / ``seed`` / ``multi_source_mode`` /
-  ``max_hops`` / ``backend``) plus optional budget fields
+  ``max_hops``; other fields are ignored) plus optional budget fields
   (``deadline_ms`` / ``max_worlds`` / ``max_candidate_nodes``).
   Replies 200 with the serialized :class:`QueryResult` (degraded
   answers included — shedding is not an HTTP error), or 400 with

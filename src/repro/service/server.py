@@ -41,6 +41,7 @@ from ..core.caching import CachingRQTreeEngine
 from ..core.candidates import CandidateResult
 from ..core.engine import QueryResult, RQTreeEngine
 from ..estimators import is_cacheable, validate_method
+from ..graph.uncertain import UncertainGraph
 from ..resilience.budget import QueryBudget
 from ..shard.engine import ShardedRQTreeEngine
 from .batcher import BatchKey, WorldBatcher
@@ -56,7 +57,7 @@ class QueryRequest:
 
     __slots__ = (
         "sources", "eta", "method", "num_samples", "seed",
-        "multi_source_mode", "max_hops", "backend", "budget",
+        "multi_source_mode", "max_hops", "budget",
         "future", "followers", "cache_key", "submitted_at",
     )
 
@@ -69,7 +70,6 @@ class QueryRequest:
         seed: Optional[int],
         multi_source_mode: str,
         max_hops: Optional[int],
-        backend: str,
         budget: Optional[QueryBudget],
         cache_key: Optional[object],
         submitted_at: float,
@@ -81,7 +81,6 @@ class QueryRequest:
         self.seed = seed
         self.multi_source_mode = multi_source_mode
         self.max_hops = max_hops
-        self.backend = backend
         self.budget = budget
         self.cache_key = cache_key
         self.submitted_at = submitted_at
@@ -100,7 +99,10 @@ class ReliabilityService:
         :class:`~repro.core.caching.CachingRQTreeEngine` is unwrapped
         (its LRU is not thread-safe; the service's own
         :class:`TTLResultCache` takes over, and the wrapper's
-        statistics still appear in :meth:`metrics_snapshot`).
+        statistics still appear in :meth:`metrics_snapshot`).  With
+        *shards* set, a bare :class:`UncertainGraph` is enough: the
+        shards build their own indexes, so no whole-graph index is
+        needed.
     workers:
         Worker-thread count.
     admission:
@@ -166,7 +168,8 @@ class ReliabilityService:
     def __init__(
         self,
         engine: Union[
-            RQTreeEngine, CachingRQTreeEngine, ShardedRQTreeEngine
+            RQTreeEngine, CachingRQTreeEngine, ShardedRQTreeEngine,
+            UncertainGraph,
         ],
         workers: int = 4,
         admission: Optional[AdmissionPolicy] = None,
@@ -188,6 +191,8 @@ class ReliabilityService:
         else:
             self._engine_cache_stats = None
         self._owned_sharded: Optional[ShardedRQTreeEngine] = None
+        if shards is None and isinstance(engine, UncertainGraph):
+            raise ValueError("a bare graph can only be served with shards=K")
         if shards is not None:
             if isinstance(engine, ShardedRQTreeEngine):
                 raise ValueError(
@@ -201,7 +206,7 @@ class ReliabilityService:
             else:
                 builder = ShardedRQTreeEngine.build
             engine = builder(
-                engine.graph,
+                engine if isinstance(engine, UncertainGraph) else engine.graph,
                 shards=shards,
                 seed=shard_seed,
                 mode=shard_mode,
@@ -293,7 +298,6 @@ class ReliabilityService:
         seed: Optional[int] = None,
         multi_source_mode: str = "greedy",
         max_hops: Optional[int] = None,
-        backend: str = "auto",
         budget: Optional[QueryBudget] = None,
     ) -> "Future[QueryResult]":
         """Enqueue a query; the returned future resolves to its result.
@@ -312,14 +316,14 @@ class ReliabilityService:
         cache_key = (
             TTLResultCache.make_key(
                 self._graph_generation(), source_list, eta, method,
-                num_samples, seed, multi_source_mode, max_hops, backend,
+                num_samples, seed, multi_source_mode, max_hops,
             )
             if cacheable
             else None
         )
         request = QueryRequest(
             source_list, eta, method, num_samples, seed, multi_source_mode,
-            max_hops, backend, budget, cache_key, time.perf_counter(),
+            max_hops, budget, cache_key, time.perf_counter(),
         )
 
         if cache_key is not None:
@@ -409,7 +413,7 @@ class ReliabilityService:
         batch_key = None
         coin_source = None
         if self._enable_batching and WorldBatcher.eligible(
-            request.method, request.seed, request.budget, request.backend
+            request.method, request.seed, request.budget
         ):
             batch_key = BatchKey(
                 graph_version=self._graph_generation(),
@@ -426,7 +430,6 @@ class ReliabilityService:
                 seed=request.seed,
                 multi_source_mode=request.multi_source_mode,
                 max_hops=request.max_hops,
-                backend=request.backend,
                 budget=request.budget,
                 coin_source=coin_source,
             )

@@ -28,10 +28,10 @@ __all__ = [
     "update_to_json",
 ]
 
-#: Request fields forwarded verbatim to :meth:`ReliabilityService.submit`.
+#: Request fields forwarded verbatim to :meth:`ReliabilityService.submit`;
+#: any other body field is ignored.
 _QUERY_FIELDS = (
     "method", "num_samples", "seed", "multi_source_mode", "max_hops",
-    "backend",
 )
 
 
@@ -44,7 +44,7 @@ def result_to_json(result: QueryResult) -> Dict[str, object]:
 
     The ``quality`` block is a stable contract: monitoring pipelines
     alert off it, so its eight keys are always present with these exact
-    names, whatever the method, backend, or failure history of the
+    names, whatever the method or failure history of the
     query.  ``estimator`` is the estimator that actually ran (it can
     differ from ``method`` under ``"auto"`` planning or the exact
     estimator's fallback) and ``planner_reason`` says why; ``epoch`` is
@@ -68,7 +68,6 @@ def result_to_json(result: QueryResult) -> Dict[str, object]:
         "degraded_reason": result.degraded_reason,
         "worlds_used": result.worlds_used,
         "achieved_confidence": result.achieved_confidence,
-        "backend_fallbacks": result.backend_fallbacks,
         "quality": {
             "achieved_confidence": result.achieved_confidence,
             "worlds_used": result.worlds_used,

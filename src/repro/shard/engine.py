@@ -68,6 +68,7 @@ from ..estimators import (
     PortfolioConfig,
     QueryPlanner,
     get_estimator,
+    run_estimate,
     sampling_methods,
     validate_method,
 )
@@ -422,7 +423,6 @@ class ShardedRQTreeEngine:
         seed: Optional[int] = None,
         multi_source_mode: str = "greedy",
         max_hops: Optional[int] = None,
-        backend: str = "auto",
         budget: Optional[QueryBudget] = None,
         coin_source=None,
     ) -> QueryResult:
@@ -474,7 +474,7 @@ class ShardedRQTreeEngine:
             refine_start = time.perf_counter()
             refined = self._refine(
                 source_list, eta, method, num_samples, seed, max_hops,
-                backend, clock, coin_source, gather, graph,
+                clock, coin_source, gather, graph,
             )
             verification_seconds = time.perf_counter() - refine_start
             registry.histogram("shard.refine_seconds").observe(
@@ -513,7 +513,6 @@ class ShardedRQTreeEngine:
             degraded_reason=degraded_reason,
             worlds_used=refined["worlds_used"],
             achieved_confidence=_achieved_confidence(refined["statuses"]),
-            backend_fallbacks=refined["backend_fallbacks"],
             shards_recovered=gather["shards_recovered"],
             estimator=refined.get("estimator") or method,
             planner_reason=refined.get("planner_reason"),
@@ -653,7 +652,6 @@ class ShardedRQTreeEngine:
         num_samples: int,
         seed: Optional[int],
         max_hops: Optional[int],
-        backend: str,
         clock: Optional[BudgetClock],
         coin_source,
         gather: Dict[str, object],
@@ -766,12 +764,11 @@ class ShardedRQTreeEngine:
                 num_samples=num_samples,
                 seed=seed,
                 max_hops=max_hops,
-                backend=backend,
                 clock=clock,
                 coin_source=coin_source,
                 config=self.planner.config,
             )
-            report = get_estimator("exact").estimate(request)
+            report = run_estimate(get_estimator("exact"), request)
             reason = f"explicit method {method!r}"
             if report.notes:
                 reason = f"{reason}; {report.notes}"
@@ -782,7 +779,6 @@ class ShardedRQTreeEngine:
                 "degraded": report.degraded,
                 "degraded_reason": report.degraded_reason,
                 "worlds_used": report.worlds_used,
-                "backend_fallbacks": report.backend_fallbacks,
                 "estimates": dict(report.estimates),
                 "estimator": report.estimator or "exact",
                 "planner_reason": reason,
@@ -803,7 +799,6 @@ class ShardedRQTreeEngine:
             num_samples=num_samples,
             seed=seed,
             max_hops=max_hops,
-            backend=backend,
             clock=clock,
             coin_source=coin_source,
             config=self.planner.config,
@@ -815,7 +810,7 @@ class ShardedRQTreeEngine:
         else:
             name = method
             reason = f"explicit method {method!r}"
-        report = get_estimator(name).estimate(request)
+        report = run_estimate(get_estimator(name), request)
         if report.notes:
             reason = f"{reason}; {report.notes}"
         kept = set(report.kept)
@@ -833,7 +828,6 @@ class ShardedRQTreeEngine:
             "degraded": report.degraded,
             "degraded_reason": report.degraded_reason,
             "worlds_used": report.worlds_used,
-            "backend_fallbacks": report.backend_fallbacks,
             "estimates": dict(report.estimates),
             "estimator": report.estimator or name,
             "planner_reason": reason,
@@ -918,7 +912,6 @@ def _refined(
         "degraded": degraded,
         "degraded_reason": reason,
         "worlds_used": 0,
-        "backend_fallbacks": 0,
         "estimates": estimates if estimates is not None else {},
         "estimator": estimator,
         "planner_reason": planner_reason,

@@ -214,3 +214,42 @@ class TestTransform:
             "transform", "--graph", str(graph_file), "--output", str(out),
             "--scale", "0.5", "--power", "2.0",
         ]) == 2
+
+
+class TestServeSetup:
+    def test_sharded_serve_builds_no_whole_graph_index(
+        self, graph_file, monkeypatch
+    ):
+        import repro.core.engine as engine_module
+        from repro.cli import _build_service
+
+        built = []
+        original = engine_module.build_rqtree
+
+        def recording_build(graph, *args, **kwargs):
+            built.append(graph.num_nodes)
+            return original(graph, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "build_rqtree", recording_build)
+        num_nodes = read_edge_list(graph_file).num_nodes
+        args = build_parser().parse_args([
+            "serve", "--graph", str(graph_file), "--workers", "1",
+            "--shards", "2", "--shard-mode", "inline",
+        ])
+        service = _build_service(args)
+        try:
+            assert service.engine.num_shards == 2
+            assert service.engine.graph.num_nodes == num_nodes
+        finally:
+            service.stop()
+        # Only the two shard-local indexes were built.
+        assert len(built) == 2
+        assert all(n < num_nodes for n in built)
+
+        built.clear()
+        args = build_parser().parse_args([
+            "serve", "--graph", str(graph_file), "--workers", "1",
+        ])
+        service = _build_service(args)
+        service.stop()
+        assert built == [num_nodes]  # unsharded: the whole-graph index

@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
-import random
-
+import numpy as np
 import pytest
 
 from repro import RQTreeEngine, UncertainGraph, mc_sampling_search
+from repro.accel import sample_reach_batch
 from repro.graph.exact import exact_hop_reliability
 from repro.graph.generators import figure1_graph, uncertain_gnp, uncertain_path
 from repro.graph.paths import (
     hop_bounded_path_probabilities,
     most_likely_path_probabilities,
 )
-from repro.graph.sampling import sample_reachable
 
 
 class TestHopBoundedPaths:
@@ -79,31 +78,32 @@ class TestHopBoundedPaths:
 
 
 class TestHopBoundedSampling:
+    @staticmethod
+    def _reached(graph, max_hops):
+        batch = sample_reach_batch(
+            graph, [0], 1, np.random.default_rng(0), max_hops=max_hops
+        )
+        return set(batch.nodes[batch.counts > 0].tolist())
+
     def test_hop_zero_reaches_sources_only(self):
         g = uncertain_path([1.0, 1.0])
-        rng = random.Random(0)
-        assert sample_reachable(g, [0], rng, max_hops=0) == {0}
+        assert self._reached(g, 0) == {0}
 
     def test_hop_budget_truncates_certain_path(self):
         g = uncertain_path([1.0, 1.0, 1.0])
-        rng = random.Random(0)
-        assert sample_reachable(g, [0], rng, max_hops=2) == {0, 1, 2}
+        assert self._reached(g, 2) == {0, 1, 2}
 
     def test_unbounded_equals_none(self):
         g = uncertain_path([1.0, 1.0, 1.0])
-        rng = random.Random(0)
-        assert sample_reachable(g, [0], rng, max_hops=None) == {0, 1, 2, 3}
+        assert self._reached(g, None) == {0, 1, 2, 3}
 
     def test_frequency_matches_exact_hop_reliability(self):
         g, names = figure1_graph()
-        rng = random.Random(3)
-        hits = 0
         trials = 4000
-        for _ in range(trials):
-            if names["u"] in sample_reachable(
-                g, [names["s"]], rng, max_hops=1
-            ):
-                hits += 1
+        batch = sample_reach_batch(
+            g, [names["s"]], trials, np.random.default_rng(3), max_hops=1
+        )
+        hits = int(batch.counts[names["u"]])
         exact = exact_hop_reliability(g, [names["s"]], names["u"], 1)
         assert hits / trials == pytest.approx(exact, abs=0.03)
 

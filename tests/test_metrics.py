@@ -172,6 +172,9 @@ def test_slo_report_schema(fresh_registry):
     for key in ("p50", "p90", "p99", "max"):
         assert key in report["latency_ms"], key
     assert set(report["gates"]) == {"targets", "breaches", "ok"}
+    assert set(report["quality"]) == {
+        "worlds_used_total", "mean_achieved_confidence"
+    }
     json.dumps(report)
 
     # And the arithmetic the gate relies on:

@@ -4,8 +4,8 @@ Every degradation path is *provoked*, not just reasoned about:
 
 * deterministic fault injection (:class:`repro.resilience.FaultPlan`)
   at the named points compiled into the library;
-* numpy→python backend fallback, byte-identical to an up-front
-  ``backend="python"`` run;
+* sampling-kernel failures degrading to sources-confirmed,
+  rest-unverified answers instead of raising;
 * budgeted queries returning partial, statused results instead of
   raising;
 * clean :class:`ReproError` surfaces (library and CLI).
@@ -27,6 +27,7 @@ from repro import (
     QueryDeadlineError,
     ReproError,
     RQTreeEngine,
+    SamplingKernelError,
     UncertainGraph,
 )
 from repro.cli import main
@@ -142,84 +143,93 @@ class TestFaultPlan:
 
 
 # ----------------------------------------------------------------------
-# Backend fallback ladder
+# Sampling-kernel failures degrade; they do not fall back
 # ----------------------------------------------------------------------
-class TestBackendFallback:
-    def test_estimator_fallback_is_byte_identical(self, er2000):
+def _assert_kernel_degraded(result, sources, point):
+    """The expired-budget answer: sources confirmed, the rest of the
+    candidates unverified, and a reason naming the error."""
+    assert result.degraded
+    assert result.nodes == set(sources)
+    assert "InjectedFault" in result.degraded_reason
+    assert point in result.degraded_reason
+    for node, status in result.statuses.items():
+        assert status == (CONFIRMED if node in sources else UNVERIFIED)
+
+
+class TestKernelFailure:
+    def test_estimator_raises_typed_error_and_keeps_tallies(self, er2000):
         graph, _ = er2000
-        reference = ReachabilityFrequencyEstimator(
-            graph, [0], seed=11, backend="python"
-        ).run(300)
+        estimator = ReachabilityFrequencyEstimator(graph, [0], seed=11)
+        estimator.run(100)
+        before = estimator.counts()
         with FaultPlan({"mc.kernel.chunk": "always"}) as plan:
-            fallen = ReachabilityFrequencyEstimator(
-                graph, [0], seed=11, backend="auto"
-            ).run(300)
+            with pytest.raises(SamplingKernelError) as raised:
+                estimator.run(100)
         assert plan.hits("mc.kernel.chunk") >= 1
-        assert fallen.fallbacks == 1
-        assert fallen.backend == "python"
-        assert fallen.counts() == reference.counts()
+        assert isinstance(raised.value.error, InjectedFault)
+        assert estimator.counts() == before
+        assert estimator.num_worlds == 100
 
-    def test_csr_snapshot_fault_also_falls_back(self, er2000):
-        graph, _ = er2000
-        reference = ReachabilityFrequencyEstimator(
-            graph, [0], seed=5, backend="python"
-        ).run(100)
+    @pytest.mark.parametrize("method", ["mc", "lazy", "rss", "auto", "exact"])
+    def test_csr_snapshot_fault_degrades(self, er2000, method):
+        _, engine = er2000
         with FaultPlan({"csr.snapshot": "always"}):
-            fallen = ReachabilityFrequencyEstimator(
-                graph, [0], seed=5, backend="auto"
-            ).run(100)
-        assert fallen.fallbacks == 1
-        assert fallen.counts() == reference.counts()
+            result = engine.query(
+                [0], eta=0.05, method=method, num_samples=200, seed=5
+            )
+        _assert_kernel_degraded(result, {0}, "csr.snapshot")
 
-    def test_fallback_logs_structured_warning(self, er2000, caplog):
-        graph, _ = er2000
+    def test_kernel_failure_logs_structured_warning(self, er2000, caplog):
+        _, engine = er2000
         with caplog.at_level(logging.WARNING, logger="repro.resilience"):
             with FaultPlan({"mc.kernel.chunk": "always"}):
-                ReachabilityFrequencyEstimator(
-                    graph, [0], seed=5, backend="auto"
-                ).run(50)
+                engine.query([0], eta=0.05, method="mc", num_samples=50,
+                             seed=5)
         records = [
             r for r in caplog.records
-            if getattr(r, "event", None) == "backend_fallback"
+            if getattr(r, "event", None) == "sampling_kernel_failed"
         ]
         assert len(records) == 1
         assert records[0].error_type == "InjectedFault"
-        assert records[0].fallback_backend == "python"
+        assert records[0].estimator == "mc"
 
-    def test_explicit_numpy_still_raises(self, er2000):
-        graph, _ = er2000
-        with FaultPlan({"mc.kernel.chunk": 1}):
-            with pytest.raises(InjectedFault):
-                ReachabilityFrequencyEstimator(
-                    graph, [0], seed=5, backend="numpy"
-                ).run(50)
-
-    def test_engine_auto_matches_python_under_fault_storm(self, er2000):
-        """Acceptance: a fault plan killing every numpy kernel chunk
-        leaves backend="auto" answers byte-identical to
-        backend="python"."""
-        graph, engine = er2000
-        reference = engine.query(
-            [0], eta=0.05, method="mc", num_samples=400, seed=7,
-            backend="python",
-        )
+    @pytest.mark.parametrize("method", ["mc", "lazy", "rss", "auto", "exact"])
+    @pytest.mark.parametrize("budgeted", [False, True])
+    def test_engine_degrades_under_fault_storm(self, er2000, method, budgeted):
+        """Acceptance: with every kernel chunk faulted, each sampled
+        method returns the degraded answer instead of raising."""
+        _, engine = er2000
+        budget = QueryBudget(deadline_seconds=60.0) if budgeted else None
         with FaultPlan({"mc.kernel.chunk": "always"}) as plan:
-            fallen = engine.query(
-                [0], eta=0.05, method="mc", num_samples=400, seed=7,
-                backend="auto",
+            result = engine.query(
+                [0], eta=0.05, method=method, num_samples=400, seed=7,
+                budget=budget,
             )
-        assert plan.hits("mc.kernel.chunk") >= 1  # numpy path was tried
-        assert fallen.backend_fallbacks == 1
-        assert fallen.nodes == reference.nodes
-        assert fallen.statuses == reference.statuses
+        assert plan.hits("mc.kernel.chunk") >= 1
+        _assert_kernel_degraded(result, {0}, "mc.kernel.chunk")
 
-    def test_no_fallbacks_without_faults(self, er2000):
-        graph, engine = er2000
+    def test_sharded_gateway_degrades_under_fault_storm(self, er2000):
+        from repro import ShardedRQTreeEngine
+
+        graph, _ = er2000
+        with ShardedRQTreeEngine.build(
+            graph, shards=2, seed=0, mode="inline"
+        ) as sharded:
+            with FaultPlan({"mc.kernel.chunk": "always"}):
+                result = sharded.query(
+                    [0], eta=0.05, method="mc", num_samples=200, seed=7
+                )
+        assert result.degraded
+        assert 0 in result.nodes
+        assert "InjectedFault" in result.degraded_reason
+
+    def test_no_degradation_without_faults(self, er2000):
+        _, engine = er2000
         result = engine.query(
-            [0], eta=0.05, method="mc", num_samples=200, seed=7,
-            backend="auto",
+            [0], eta=0.05, method="mc", num_samples=200, seed=7
         )
-        assert result.backend_fallbacks == 0
+        assert not result.degraded
+        assert not result.unverified
 
 
 # ----------------------------------------------------------------------
@@ -409,11 +419,10 @@ class TestQueryBudget:
         estimator pass thresholded at eta*K over the candidate set)."""
         graph, engine = small_engine
         result = engine.query(0, eta=0.4, method="mc", num_samples=150,
-                              seed=9, backend="python")
+                              seed=9)
         candidates = engine.candidates(0, 0.4).candidates
         assert result.nodes == verify_sampling(
             graph, [0], 0.4, candidates, num_samples=150, seed=9,
-            backend="python",
         )
 
 

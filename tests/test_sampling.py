@@ -2,83 +2,92 @@
 
 from __future__ import annotations
 
-import random
-
+import numpy as np
 import pytest
 
 from repro import UncertainGraph
+from repro.accel import ReachPlan, csr_snapshot, sample_reach_batch
+from repro.accel.coins import draw_coins
 from repro.graph.exact import exact_reliability
-from repro.graph.generators import figure1_graph, uncertain_path
-from repro.graph.sampling import (
-    ReachabilityFrequencyEstimator,
-    WorldSampler,
-    sample_reachable,
-)
+from repro.graph.generators import uncertain_path
+from repro.graph.sampling import ReachabilityFrequencyEstimator
+
+
+def _worlds(graph, seed, count):
+    """*count* materialized worlds of *graph*: the kernel's coin draw,
+    unpacked to one boolean row per world over the plan's arcs."""
+    plan = ReachPlan(csr_snapshot(graph))
+    packed = draw_coins(np.random.default_rng(seed), plan, count)
+    bits = np.unpackbits(packed, axis=1, count=count).T.astype(bool)
+    arcs = list(zip(
+        plan.nodes[plan.predecessors].tolist(),
+        plan.nodes[plan.targets].tolist(),
+    ))
+    return [[arc for arc, kept in zip(arcs, row) if kept] for row in bits]
+
+
+def _reached(graph, sources, seed=0, allowed=None, max_hops=None):
+    """The node set reached from *sources* in one sampled world."""
+    batch = sample_reach_batch(
+        graph, sources, 1, np.random.default_rng(seed),
+        allowed=allowed, max_hops=max_hops,
+    )
+    return set(batch.nodes[batch.counts > 0].tolist())
 
 
 class TestWorldSampler:
+    """Whole worlds as the kernel draws them: one coin per plan arc."""
+
     def test_deterministic_given_seed(self, fig1_graph):
-        a = WorldSampler(fig1_graph, seed=5)
-        b = WorldSampler(fig1_graph, seed=5)
-        for _ in range(10):
-            assert a.sample_world() == b.sample_world()
+        assert _worlds(fig1_graph, 5, 10) == _worlds(fig1_graph, 5, 10)
 
     def test_worlds_are_subsets_of_arcs(self, fig1_graph):
         arcs = {(u, v) for u, v, _ in fig1_graph.arcs()}
-        sampler = WorldSampler(fig1_graph, seed=1)
-        for world in sampler.worlds(20):
+        for world in _worlds(fig1_graph, 1, 20):
             assert set(world) <= arcs
 
     def test_certain_arcs_always_present(self):
         g = UncertainGraph(2)
         g.add_arc(0, 1, 1.0)
-        sampler = WorldSampler(g, seed=0)
-        for world in sampler.worlds(10):
+        for world in _worlds(g, 0, 10):
             assert (0, 1) in world
 
     def test_arc_frequency_matches_probability(self):
         g = UncertainGraph(2)
         g.add_arc(0, 1, 0.3)
-        sampler = WorldSampler(g, seed=3)
-        hits = sum(1 for world in sampler.worlds(4000) if world)
+        hits = sum(1 for world in _worlds(g, 3, 4000) if world)
         assert hits / 4000 == pytest.approx(0.3, abs=0.03)
 
     def test_adjacency_representation(self, fig1_graph):
-        sampler = WorldSampler(fig1_graph, seed=2)
-        adjacency = sampler.sample_world_adjacency()
+        # The plan's arcs are exactly the graph's adjacency.
+        plan = ReachPlan(csr_snapshot(fig1_graph))
+        adjacency = [set() for _ in range(fig1_graph.num_nodes)]
+        for u, v in zip(plan.predecessors.tolist(), plan.targets.tolist()):
+            adjacency[u].add(v)
         assert len(adjacency) == fig1_graph.num_nodes
         for u, nbrs in enumerate(adjacency):
-            for v in nbrs:
-                assert fig1_graph.has_arc(u, v)
+            assert nbrs == set(fig1_graph.successors(u))
 
 
 class TestSampleReachable:
     def test_sources_always_included(self, fig1_graph):
-        rng = random.Random(0)
-        reached = sample_reachable(fig1_graph, [0], rng)
-        assert 0 in reached
+        assert 0 in _reached(fig1_graph, [0])
 
     def test_deterministic_arcs_always_traversed(self):
         g = uncertain_path([1.0, 1.0, 1.0])
-        rng = random.Random(0)
-        assert sample_reachable(g, [0], rng) == {0, 1, 2, 3}
+        assert _reached(g, [0]) == {0, 1, 2, 3}
 
     def test_allowed_restriction(self):
         g = uncertain_path([1.0, 1.0, 1.0])
-        rng = random.Random(0)
-        assert sample_reachable(g, [0], rng, allowed={0, 1}) == {0, 1}
+        assert _reached(g, [0], allowed={0, 1}) == {0, 1}
 
     def test_lazy_frequency_matches_reliability(self, fig1_graph, fig1_names):
-        # The lazy BFS sampler must estimate R(s, u) = 0.65 (Example 1).
-        rng = random.Random(7)
-        hits = 0
-        trials = 4000
-        for _ in range(trials):
-            if fig1_names["u"] in sample_reachable(
-                fig1_graph, [fig1_names["s"]], rng
-            ):
-                hits += 1
-        assert hits / trials == pytest.approx(0.65, abs=0.03)
+        # The sampler must estimate R(s, u) = 0.65 (Example 1).
+        batch = sample_reach_batch(
+            fig1_graph, [fig1_names["s"]], 4000, np.random.default_rng(7)
+        )
+        hits = int(batch.counts[fig1_names["u"]])
+        assert hits / 4000 == pytest.approx(0.65, abs=0.03)
 
 
 class TestReachabilityFrequencyEstimator:
