@@ -18,6 +18,8 @@ import heapq
 import random
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .wgraph import WeightedUndirectedGraph
 
 __all__ = ["greedy_growing_bisection", "spectral_bisection", "initial_bisection"]
@@ -99,15 +101,11 @@ def spectral_bisection(
 ) -> Optional[List[bool]]:
     """Fiedler-vector sign split (weighted by node weight at the median).
 
-    Returns ``None`` when numpy is unavailable or the graph is too small
-    for a meaningful spectrum.
+    Returns ``None`` when the graph is too small for a meaningful
+    spectrum.
     """
     n = graph.num_nodes
     if n < 4:
-        return None
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is a hard dependency
         return None
     laplacian = np.zeros((n, n))
     for u in range(n):

@@ -58,10 +58,7 @@ import os
 import threading
 from typing import Dict, List, Optional, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a hard dep in practice
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 try:  # pragma: no cover - POSIX-only stdlib module
     from multiprocessing import shared_memory as _shared_memory

@@ -74,6 +74,27 @@ def test_query_matches_direct_engine(server, medium_engine):
         conn.close()
 
 
+def test_legacy_backend_field_is_ignored(server, medium_engine):
+    # Bodies written for the removed sampler switch still work: the
+    # field is ignored like any unknown one, and the top-level
+    # backend_fallbacks reply field is gone.
+    conn = _connect(server)
+    try:
+        response, payload = _post(conn, "/query", {
+            "sources": [3], "eta": 0.5, "method": "mc",
+            "num_samples": 200, "seed": 4, "backend": "python",
+        })
+        assert response.status == 200
+        reply = json.loads(payload)
+        expected = medium_engine.query(
+            [3], 0.5, method="mc", num_samples=200, seed=4
+        )
+        assert reply["nodes"] == sorted(expected.nodes)
+        assert "backend_fallbacks" not in reply
+    finally:
+        conn.close()
+
+
 def test_quality_block_schema(server):
     """Every wire response carries the stable per-query quality block.
 
