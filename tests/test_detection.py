@@ -10,9 +10,15 @@ from repro.core.detection import (
     reliability_scores,
     top_k_reliable,
 )
-from repro.errors import EmptySourceSetError, NodeNotFoundError
+from repro.errors import (
+    EmptySourceSetError,
+    InjectedFault,
+    NodeNotFoundError,
+    SamplingKernelError,
+)
 from repro.graph.exact import exact_reliability
 from repro.graph.generators import figure1_graph, uncertain_gnp, uncertain_path
+from repro.resilience import FaultPlan
 
 
 @pytest.fixture(scope="module")
@@ -165,3 +171,45 @@ class TestTopK:
         engine = RQTreeEngine.build(g, seed=0)
         ranked = top_k_reliable(engine, 0, 5, eta_floor=0.01)
         assert len(ranked) <= 1
+
+
+class TestKernelFailure:
+    """Detection and ranking cannot carry a partial answer, so a kernel
+    failure raises instead of passing a degraded answer off as real."""
+
+    @pytest.mark.parametrize("point", ["mc.kernel.chunk", "csr.snapshot"])
+    def test_detect_raises(self, fig1_engine, point):
+        _, names, engine = fig1_engine
+        with FaultPlan({point: "always"}) as plan:
+            with pytest.raises(SamplingKernelError) as raised:
+                detect_reliability(
+                    engine, names["s"], names["u"], method="mc",
+                    num_samples=500, seed=1,
+                )
+        assert plan.hits(point) >= 1
+        assert isinstance(raised.value.error, InjectedFault)
+
+    @pytest.mark.parametrize("method", ["mc", "lazy", "rss"])
+    def test_top_k_and_scores_raise(self, fig1_engine, method):
+        _, names, engine = fig1_engine
+        with FaultPlan({"mc.kernel.chunk": "always"}):
+            with pytest.raises(SamplingKernelError):
+                top_k_reliable(
+                    engine, names["s"], 3, method=method,
+                    num_samples=500, seed=1,
+                )
+            with pytest.raises(SamplingKernelError):
+                reliability_scores(
+                    engine, names["s"], 0.3, method=method,
+                    num_samples=500, seed=1,
+                )
+
+    def test_answers_unchanged_once_the_fault_is_gone(self, fig1_engine):
+        _, names, engine = fig1_engine
+        before = detect_reliability(engine, names["s"], names["u"], seed=1)
+        with FaultPlan({"mc.kernel.chunk": "always"}):
+            with pytest.raises(SamplingKernelError):
+                detect_reliability(engine, names["s"], names["u"], seed=1)
+        after = detect_reliability(engine, names["s"], names["u"], seed=1)
+        assert after == before
+        assert after.low <= 0.65 + 0.05 and after.high >= 0.65 - 0.05
