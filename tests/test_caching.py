@@ -48,6 +48,22 @@ class TestCacheBehaviour:
         cached_engine.query(0, 0.5, method="mc", num_samples=50, seed=1)
         assert cached_engine.stats.hits == 1
 
+    def test_degraded_answers_are_not_cached(self, cached_engine):
+        from repro.resilience import FaultPlan
+
+        cached_engine.invalidate()
+        query = dict(method="mc", num_samples=200, seed=4)
+        with FaultPlan({"mc.kernel.chunk": "always"}) as plan:
+            degraded = cached_engine.query([3, 17], 0.2, **query)
+        assert plan.hits("mc.kernel.chunk") >= 1
+        assert degraded.degraded
+        # The fault is gone: the same query runs again instead of
+        # replaying the degraded answer, and the healthy one is kept.
+        healthy = cached_engine.query([3, 17], 0.2, **query)
+        assert not healthy.degraded
+        assert healthy.nodes > degraded.nodes
+        assert cached_engine.query([3, 17], 0.2, **query) is healthy
+
     def test_unseeded_mc_bypasses(self, cached_engine):
         cached_engine.invalidate()
         before = cached_engine.stats.bypasses
