@@ -50,10 +50,6 @@ class PortfolioConfig:
     rss_concentration: float = 0.6
     rss_node_cap: int = 512
 
-    #: Slabs the lazy estimator splits its batch into when a budget
-    #: clock is present (deadline checks between slabs).
-    lazy_slabs: int = 4
-
     #: The planner picks exact over the cheapest sampler as long as its
     #: predicted cost is within this multiple — zero variance is worth a
     #: modest premium.
