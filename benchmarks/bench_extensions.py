@@ -6,9 +6,7 @@
 * **incremental maintenance** — query quality and cost of the dynamic
   engine across a stream of arc updates, versus rebuild-from-scratch;
 * **RIS vs Greedy influence maximization** — situating the paper's
-  Section 7.7 pipeline against the modern reverse-reachable-set method;
-* **query caching** — hit rates and speedup on a repeating workload
-  (the influence-maximization access pattern).
+  Section 7.7 pipeline against the modern reverse-reachable-set method.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import time
 import pytest
 
 from repro import (
-    CachingRQTreeEngine,
     DynamicRQTreeEngine,
     RQTreeEngine,
     expected_spread_mc,
@@ -194,49 +191,3 @@ def test_ris_vs_greedy(benchmark):
     )
     # RIS must reach a competitive spread while searching ALL nodes.
     assert spread_ris >= 0.7 * spread_mc
-
-
-def test_query_caching(benchmark):
-    graph = load_dataset("dblp5", n=1500, seed=4)
-    engine = CachingRQTreeEngine(RQTreeEngine.build(graph, seed=4))
-    sources = single_source_workload(graph, 10, seed=3)
-    # IM-style repeating workload: each source queried at 4 thresholds,
-    # 5 rounds.
-    workload = [
-        (s, eta) for _ in range(5) for s in sources
-        for eta in (0.2, 0.4, 0.6, 0.8)
-    ]
-
-    def run():
-        engine.invalidate()
-        engine.stats.hits = engine.stats.misses = 0
-        start = time.perf_counter()
-        for s, eta in workload:
-            engine.query(s, eta)
-        cached_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        for s, eta in workload:
-            engine.engine.query(s, eta)
-        uncached_seconds = time.perf_counter() - start
-        return cached_seconds, uncached_seconds, engine.stats.hit_rate
-
-    cached_s, uncached_s, hit_rate = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    write_result(
-        "extension_caching",
-        format_table(
-            ["metric", "value"],
-            [
-                ("workload size", len(workload)),
-                ("hit rate", hit_rate),
-                ("time with cache (s)", cached_s),
-                ("time without cache (s)", uncached_s),
-                ("speedup", uncached_s / max(cached_s, 1e-9)),
-            ],
-            title="Extension: LRU query cache on a repeating workload",
-        ),
-    )
-    assert hit_rate >= 0.7   # 5 rounds -> 80% repeats
-    assert cached_s <= uncached_s * 1.1

@@ -7,11 +7,9 @@ Zipf-skewed sources, a diurnal rate curve, a 10% update stream, and a
 fault storm through the middle of the run — what p99, degraded-answer
 rate, and cache hit rate does the service deliver?*
 
-One seeded ``mixed``-profile schedule is generated once and replayed
-against **both** frontends (asyncio gateway and the threaded server)
-over loopback, open-loop, via :func:`repro.loadgen.drive`.  Identical
-traffic, so the sweep rows are directly comparable; the deltas are the
-frontends', not the workload's.
+One seeded ``mixed``-profile schedule is generated and replayed
+against the asyncio gateway over loopback, open-loop, via
+:func:`repro.loadgen.drive`.
 
 Results go to ``BENCH_slo.json`` at the repo root (and
 ``benchmarks/results/slo.txt``).  ``BENCH_QUICK=1`` shrinks the graph
@@ -30,7 +28,6 @@ from repro import RQTreeEngine
 from repro.graph.generators import nethept_like
 from repro.loadgen import drive, generate_schedule
 from repro.service.aio_gateway import AioGateway
-from repro.service.http_api import ServiceHTTPServer
 from repro.service.metrics import MetricsRegistry, set_registry
 from repro.service.server import ReliabilityService
 
@@ -47,37 +44,30 @@ SEED = 42
 
 JSON_PATH = Path(__file__).parent.parent / "BENCH_slo.json"
 
-FRONTENDS = (
-    ("aio", lambda service: AioGateway(service, host="127.0.0.1", port=0)),
-    (
-        "thread",
-        lambda service: ServiceHTTPServer(
-            service, host="127.0.0.1", port=0
-        ),
-    ),
-)
 
-
-def _run_frontend(name, make_server, schedule):
-    # A fresh registry per frontend: the report's cache/shed numbers
-    # are metric deltas, and sharing one registry would also let the
-    # second run read the first run's warm TTL cache.  The graph is
-    # rebuilt too (same seed, identical arcs): live updates mutate the
-    # graph in place and advance its epoch, so reusing run 1's graph
-    # would change run 2's traffic semantics — replayed update batches
-    # land on an epoch the fresh update plane has never issued and are
-    # rejected by the monotonic-epoch guard.
-    set_registry(MetricsRegistry())
+def test_slo_under_mixed_traffic():
     graph = nethept_like(n=NUM_NODES, seed=5)
+    num_arcs = graph.num_arcs  # live updates mutate the graph in place
+    schedule = generate_schedule(
+        PROFILE,
+        seed=SEED,
+        duration_seconds=DURATION_SECONDS,
+        target_qps=TARGET_QPS,
+        num_nodes=graph.num_nodes,
+    )
+    # A fresh registry: the report's cache/shed numbers are metric
+    # deltas over this run alone.
+    set_registry(MetricsRegistry())
     engine = RQTreeEngine.build(graph, seed=7)
     service = ReliabilityService(engine, workers=WORKERS, live=True)
-    server = make_server(service).start()
+    server = AioGateway(service, host="127.0.0.1", port=0).start()
     try:
         report = drive(schedule, server.url, arm_storms=True)
     finally:
         server.stop()
-    return {
-        "workload": f"{PROFILE}_{name}",
+        set_registry(MetricsRegistry())
+    record = {
+        "workload": f"{PROFILE}_aio",
         "qps": report["throughput"]["achieved_qps"],
         "p50_ms": report["latency_ms"]["p50"],
         "p99_ms": report["latency_ms"]["p99"],
@@ -89,35 +79,16 @@ def _run_frontend(name, make_server, schedule):
         "completed": report["requests"]["completed"],
         "updates": report["requests"]["updates"],
     }
+    # The bench's own sanity floor: traffic flowed, the storm fired,
+    # and the run was not a wall of errors.
+    assert record["completed"] > 0, record
+    assert record["storms"] == 1, record
+    assert record["error_rate"] <= 0.05, record
 
-
-def test_slo_under_mixed_traffic():
-    graph = nethept_like(n=NUM_NODES, seed=5)
-    schedule = generate_schedule(
-        PROFILE,
-        seed=SEED,
-        duration_seconds=DURATION_SECONDS,
-        target_qps=TARGET_QPS,
-        num_nodes=graph.num_nodes,
+    write_result(
+        "slo",
+        "  ".join(f"{key}={value}" for key, value in record.items()) + "\n",
     )
-    records = []
-    try:
-        for name, make_server in FRONTENDS:
-            record = _run_frontend(name, make_server, schedule)
-            # The bench's own sanity floor: traffic flowed, the storm
-            # fired, and the run was not a wall of errors.
-            assert record["completed"] > 0, record
-            assert record["storms"] == 1, record
-            assert record["error_rate"] <= 0.05, record
-            records.append(record)
-    finally:
-        set_registry(MetricsRegistry())
-
-    lines = [
-        "  ".join(f"{key}={value}" for key, value in record.items())
-        for record in records
-    ]
-    write_result("slo", "\n".join(lines) + "\n")
     JSON_PATH.write_text(
         json.dumps(
             {
@@ -125,13 +96,13 @@ def test_slo_under_mixed_traffic():
                 "quick_mode": QUICK,
                 "profile": PROFILE,
                 "num_nodes": NUM_NODES,
-                "num_arcs": graph.num_arcs,
+                "num_arcs": num_arcs,
                 "duration_seconds": DURATION_SECONDS,
                 "target_qps": TARGET_QPS,
                 "offered_qps": round(schedule.offered_qps, 3),
                 "workers": WORKERS,
                 "seed": SEED,
-                "sweep": records,
+                "sweep": [record],
                 "host": host_info(),
             },
             indent=2,

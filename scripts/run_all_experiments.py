@@ -43,7 +43,6 @@ REPORT_ORDER = [
     ("Extension — branching factor", "extension_branching"),
     ("Extension — incremental maintenance", "extension_maintenance"),
     ("Extension — RIS vs Greedy", "extension_ris"),
-    ("Extension — query caching", "extension_caching"),
     ("Future work — correlated arcs", "correlation"),
     ("Index shoot-out — RQ-tree vs sampled worlds", "worldindex_tradeoff"),
     ("Monte-Carlo estimator comparison (after Fishman [13])",

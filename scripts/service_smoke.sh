@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the serving layer: start `repro serve` on an
-# ephemeral port, push a load-generator workload through the HTTP API,
-# and check that the metrics snapshot comes back as valid JSON with
-# zero errors.  CI runs this on every push; it is also handy locally:
+# ephemeral port, push a `repro loadgen` workload through the HTTP API
+# (gated on zero errors and zero degraded answers), and check that the
+# metrics snapshot comes back as valid JSON with zero errors.  CI runs
+# this on every push; it is also handy locally:
 #
 #   PYTHONPATH=src scripts/service_smoke.sh
 set -euo pipefail
@@ -54,9 +55,19 @@ if [[ -z "$URL" ]]; then
 fi
 echo "== server ready at $URL"
 
-echo "== running 50-query load generator (--check: no errors allowed)"
-python -m repro bench-serve --url "$URL" --queries 50 --concurrency 8 \
-    --method mc --samples 500 --seed 7 --check --metrics-out "$METRICS"
+echo "== running the load generator (no errors or degraded answers allowed)"
+python -m repro loadgen --url "$URL" --profile read_heavy --duration 4 \
+    --target-qps 15 --seed 7 --gate-error-rate 0 --gate-degraded-rate 0
+
+echo "== fetching the metrics snapshot"
+python - "$URL/metrics" "$METRICS" <<'EOF'
+import sys
+from urllib.request import urlopen
+
+with urlopen(sys.argv[1], timeout=30) as response, \
+        open(sys.argv[2], "wb") as handle:
+    handle.write(response.read())
+EOF
 
 echo "== validating metrics snapshot"
 python - "$METRICS" <<'EOF'

@@ -80,7 +80,6 @@ from .core.detection import (
     top_k_reliable,
 )
 from .core.maintenance import DynamicRQTreeEngine, MaintenanceStats
-from .core.caching import CachingRQTreeEngine, CacheStats
 from .core.worldindex import WorldIndex
 from .reliability.montecarlo import mc_sampling_search, mc_reliability
 from .reliability.rht import rht_reliability, rht_reliability_search
@@ -158,8 +157,6 @@ __all__ = [
     "top_k_reliable",
     "DynamicRQTreeEngine",
     "MaintenanceStats",
-    "CachingRQTreeEngine",
-    "CacheStats",
     "WorldIndex",
     # sharded serving
     "ShardPlan",

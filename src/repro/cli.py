@@ -11,10 +11,11 @@ The CLI covers the offline/online split of the paper's system:
   search on the threshold (paper, Section 2 reduction);
 * ``transform``    — what-if graph transformations (scale / power /
   backbone extraction);
-* ``serve``        — run the concurrent query-serving layer behind a
-  stdlib HTTP/JSON frontend (:mod:`repro.service`);
-* ``bench-serve``  — load-generate against a running server (or an
-  in-process service) and report throughput/latency.
+* ``serve``        — run the concurrent query-serving layer behind the
+  asyncio HTTP/JSON gateway (:mod:`repro.service`);
+* ``update``       — stream arc updates to a live server;
+* ``loadgen``      — replay production-shaped traffic against a server
+  (or an in-process one) and gate on an SLO report (:mod:`repro.loadgen`).
 
 Everything round-trips through the text/JSON formats in
 :mod:`repro.graph.io` and :meth:`repro.core.rqtree.RQTree.save`, so an
@@ -101,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--index", default=None)
     stats.add_argument(
         "--metrics", default=None,
-        help="service metrics snapshot JSON (from 'bench-serve "
-        "--metrics-out' or GET /metrics) to summarize",
+        help="service metrics snapshot JSON (a saved GET /metrics "
+        "reply) to summarize",
     )
 
     query = commands.add_parser(
@@ -212,14 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "worker after this delay, first answer wins; "
                        "0 derives the delay from the shard's p99 "
                        "(needs --shard-respawn)")
-    serve.add_argument("--frontend", choices=("aio", "thread"),
-                       default="aio",
-                       help="asyncio gateway (default) or the legacy "
-                       "thread-per-connection server")
     serve.add_argument("--max-connections", type=int, default=None,
-                       help="aio frontend connection cap; beyond it "
-                       "clients get 503 + Retry-After (default: "
-                       "8 x --max-in-flight)")
+                       help="connection cap; beyond it clients get "
+                       "503 + Retry-After (default: 8 x --max-in-flight)")
     serve.add_argument("--live", action="store_true",
                        help="enable the update plane (POST /update): "
                        "epoch-versioned snapshots, streaming arc "
@@ -241,56 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     update.add_argument("--file", default=None,
                         help="JSON file with an array of update ops "
                         "('-' = stdin); combined with --set/--delete")
-
-    bench_serve = commands.add_parser(
-        "bench-serve",
-        help="load-generate against a server (--url) or in-process "
-        "service (--graph)",
-    )
-    bench_serve.add_argument("--url", default=None,
-                             help="base URL of a running 'repro serve'")
-    bench_serve.add_argument("--graph", default=None,
-                             help="edge-list file for an in-process service")
-    bench_serve.add_argument("--index", default=None)
-    bench_serve.add_argument("--workers", type=int, default=4,
-                             help="in-process service workers "
-                             "(ignored with --url)")
-    bench_serve.add_argument("--queries", type=int, default=50)
-    bench_serve.add_argument("--concurrency", type=int, default=8,
-                             help="client threads issuing queries")
-    bench_serve.add_argument("--eta", type=float, default=0.5)
-    bench_serve.add_argument("--method", choices=available_methods(),
-                             default="mc")
-    bench_serve.add_argument("--samples", type=int, default=1000)
-    bench_serve.add_argument("--seed", type=int, default=0)
-    bench_serve.add_argument(
-        "--check", action="store_true",
-        help="exit non-zero if any query errored or degraded",
-    )
-    bench_serve.add_argument(
-        "--metrics-out", default=None,
-        help="write the service's metrics snapshot JSON here",
-    )
-    bench_serve.add_argument("--shards", type=int, default=None,
-                             help="shard the in-process service's graph "
-                             "K ways (ignored with --url)")
-    bench_serve.add_argument("--shard-mode", choices=("process", "inline"),
-                             default="process")
-    bench_serve.add_argument("--shard-transport", choices=("shm", "pickle"),
-                             default="shm",
-                             help="shard payload transport for the "
-                             "in-process service (ignored with --url)")
-    bench_serve.add_argument("--shard-respawn", action="store_true",
-                             help="supervise the in-process service's "
-                             "shard workers (ignored with --url)")
-    bench_serve.add_argument("--shard-retry-timeout-ms", type=float,
-                             default=None,
-                             help="per-shard attempt timeout for the "
-                             "in-process service (needs --shard-respawn)")
-    bench_serve.add_argument("--hedge-after-ms", type=float, default=None,
-                             help="hedged-dispatch delay for the "
-                             "in-process service; 0 = p99-derived "
-                             "(needs --shard-respawn)")
 
     loadgen = commands.add_parser(
         "loadgen",
@@ -319,12 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "fault injection is process-local)")
     loadgen.add_argument("--graph", default=None,
                          help="edge-list file: build an in-process service "
-                         "+ frontend and drive it over loopback")
+                         "+ gateway and drive it over loopback")
     loadgen.add_argument("--index", default=None,
                          help="prebuilt index JSON for --graph")
-    loadgen.add_argument("--frontend", choices=("aio", "thread"),
-                         default="aio",
-                         help="in-process frontend flavour")
     loadgen.add_argument("--workers", type=int, default=4,
                          help="in-process service workers")
     loadgen.add_argument("--max-in-flight", type=int, default=64,
@@ -490,21 +433,16 @@ def _print_metrics_snapshot(snapshot: dict) -> None:
                 title="service latency histograms",
             )
         )
-    service = snapshot.get("service", {})
-    for label, key in (
-        ("result cache", "result_cache"),
-        ("engine cache", "engine_cache"),
-    ):
-        cache_stats = service.get(key)
-        if cache_stats:
-            print()
-            print(
-                format_table(
-                    ["metric", "value"],
-                    sorted(cache_stats.items()),
-                    title=f"{label} statistics",
-                )
+    cache_stats = snapshot.get("service", {}).get("result_cache")
+    if cache_stats:
+        print()
+        print(
+            format_table(
+                ["metric", "value"],
+                sorted(cache_stats.items()),
+                title="result cache statistics",
             )
+        )
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -647,14 +585,14 @@ def _build_service(args: argparse.Namespace):
     from .service.pool import AdmissionPolicy
     from .service.server import ReliabilityService
 
-    if getattr(args, "shards", None) is not None:
+    if args.shards is not None:
         # Each shard builds its own index; a whole-graph one would be
         # built only to be thrown away.
         engine = read_edge_list(args.graph)
     else:
         engine = _load_engine(args.graph, args.index)
     admission = AdmissionPolicy(
-        max_in_flight=getattr(args, "max_in_flight", 64),
+        max_in_flight=args.max_in_flight,
         queue_deadline_seconds=(
             None
             if getattr(args, "queue_deadline_ms", None) is None
@@ -671,39 +609,33 @@ def _build_service(args: argparse.Namespace):
         admission=admission,
         cache=cache,
         enable_batching=not getattr(args, "no_batching", False),
-        shards=getattr(args, "shards", None),
-        shard_mode=getattr(args, "shard_mode", "process"),
+        shards=args.shards,
+        shard_mode=args.shard_mode,
         shard_transport=getattr(args, "shard_transport", "shm"),
         shard_respawn=getattr(args, "shard_respawn", False),
         shard_retry_timeout_ms=getattr(args, "shard_retry_timeout_ms", None),
         shard_hedge_after_ms=getattr(args, "hedge_after_ms", None),
-        live=getattr(args, "live", False),
+        live=args.live,
     )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from .service.aio_gateway import AioGateway
+
     service = _build_service(args)
-    if getattr(args, "frontend", "aio") == "thread":
-        from .service.http_api import ServiceHTTPServer
-
-        server = ServiceHTTPServer(service, host=args.host, port=args.port)
-    else:
-        from .service.aio_gateway import AioGateway
-
-        server = AioGateway(
-            service, host=args.host, port=args.port,
-            max_connections=getattr(args, "max_connections", None),
-        ).start()
+    server = AioGateway(
+        service, host=args.host, port=args.port,
+        max_connections=args.max_connections,
+    ).start()
     host, port = server.address
     engine = service.engine
     shards = getattr(engine, "num_shards", None)
     shard_note = "" if shards is None else f", {shards} shards"
-    live_note = ", live updates" if getattr(args, "live", False) else ""
+    live_note = ", live updates" if args.live else ""
     print(
         f"serving {engine.graph.num_nodes} nodes / "
         f"{engine.graph.num_arcs} arcs on http://{host}:{port} "
-        f"({service.workers} workers{shard_note}{live_note}, "
-        f"{getattr(args, 'frontend', 'aio')} frontend)",
+        f"({service.workers} workers{shard_note}{live_note})",
         flush=True,
     )
     server.serve_forever()
@@ -754,150 +686,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
     return 0
 
 
-def _percentile(sorted_values: List[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(
-        len(sorted_values) - 1, max(0, round(q * (len(sorted_values) - 1)))
-    )
-    return sorted_values[index]
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    import json
-    import threading
-
-    if (args.url is None) == (args.graph is None):
-        print(
-            "exactly one of --url / --graph is required", file=sys.stderr
-        )
-        return 2
-
-    if args.url is not None:
-        from urllib.request import Request, urlopen
-
-        base = args.url.rstrip("/")
-        with urlopen(f"{base}/healthz", timeout=30) as response:
-            num_nodes = json.load(response)["nodes"]
-
-        def run_query(body: dict) -> dict:
-            request = Request(
-                f"{base}/query",
-                data=json.dumps(body).encode("utf-8"),
-                headers={"Content-Type": "application/json"},
-            )
-            with urlopen(request, timeout=120) as response:
-                return json.load(response)
-
-        def fetch_metrics() -> dict:
-            with urlopen(f"{base}/metrics", timeout=30) as response:
-                return json.load(response)
-
-        service = None
-    else:
-        service = _build_service(args).start()
-        num_nodes = service.engine.graph.num_nodes
-
-        def run_query(body: dict) -> dict:
-            from .service.http_api import result_to_json
-
-            result = service.query(
-                body["sources"], body["eta"],
-                method=body["method"], num_samples=body["num_samples"],
-                seed=body["seed"],
-            )
-            return result_to_json(result)
-
-        def fetch_metrics() -> dict:
-            return service.metrics_snapshot()
-
-    if num_nodes == 0:
-        print("graph has no nodes; nothing to query", file=sys.stderr)
-        return 2
-
-    bodies = [
-        {
-            "sources": [i % num_nodes],
-            "eta": args.eta,
-            "method": args.method,
-            "num_samples": args.samples,
-            "seed": args.seed,
-        }
-        for i in range(args.queries)
-    ]
-    latencies: List[float] = []
-    errors: List[str] = []
-    degraded = 0
-    lock = threading.Lock()
-    cursor = iter(range(args.queries))
-
-    def worker() -> None:
-        nonlocal degraded
-        while True:
-            with lock:
-                index = next(cursor, None)
-            if index is None:
-                return
-            begin = time.perf_counter()
-            try:
-                reply = run_query(bodies[index])
-            except Exception as error:  # noqa: BLE001 - reported below
-                with lock:
-                    errors.append(f"query {index}: {error}")
-                continue
-            elapsed = time.perf_counter() - begin
-            with lock:
-                latencies.append(elapsed)
-                if reply.get("degraded"):
-                    degraded += 1
-
-    start = time.perf_counter()
-    threads = [
-        threading.Thread(target=worker, daemon=True)
-        for _ in range(max(1, args.concurrency))
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - start
-
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(fetch_metrics(), handle, indent=2, sort_keys=True)
-    if service is not None:
-        service.stop()
-
-    latencies.sort()
-    completed = len(latencies)
-    print(
-        format_table(
-            ["metric", "value"],
-            [
-                ("queries", args.queries),
-                ("completed", completed),
-                ("errors", len(errors)),
-                ("degraded", degraded),
-                ("concurrency", args.concurrency),
-                ("wall time (s)", wall),
-                ("throughput (q/s)", completed / wall if wall > 0 else 0.0),
-                ("p50 latency (s)", _percentile(latencies, 0.50)),
-                ("p95 latency (s)", _percentile(latencies, 0.95)),
-            ],
-            title="bench-serve",
-        )
-    )
-    for message in errors[:5]:
-        print(f"error: {message}", file=sys.stderr)
-    if args.check and (errors or degraded):
-        print(
-            f"check failed: {len(errors)} error(s), {degraded} degraded",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import json
     from urllib.request import urlopen
@@ -918,20 +706,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 num_nodes = int(json.loads(response.read())["nodes"])
             arm_storms = False
         else:
+            from .service.aio_gateway import AioGateway
+
             args.live = not args.no_live
             service = _build_service(args)
-            if args.frontend == "thread":
-                from .service.http_api import ServiceHTTPServer
-
-                server = ServiceHTTPServer(
-                    service, host="127.0.0.1", port=0
-                ).start()
-            else:
-                from .service.aio_gateway import AioGateway
-
-                server = AioGateway(
-                    service, host="127.0.0.1", port=0
-                ).start()
+            server = AioGateway(service, host="127.0.0.1", port=0).start()
             url = server.url
             num_nodes = service.engine.graph.num_nodes
             arm_storms = True
@@ -1024,7 +803,6 @@ _HANDLERS = {
     "transform": _cmd_transform,
     "serve": _cmd_serve,
     "update": _cmd_update,
-    "bench-serve": _cmd_bench_serve,
     "loadgen": _cmd_loadgen,
 }
 

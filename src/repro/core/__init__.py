@@ -33,7 +33,6 @@ from .detection import (
     top_k_reliable,
 )
 from .maintenance import DynamicRQTreeEngine, MaintenanceStats
-from .caching import CachingRQTreeEngine, CacheStats
 from .bounds_cache import ClusterBoundsCache
 from .worldindex import WorldIndex
 
@@ -69,8 +68,6 @@ __all__ = [
     "top_k_reliable",
     "DynamicRQTreeEngine",
     "MaintenanceStats",
-    "CachingRQTreeEngine",
-    "CacheStats",
     "ClusterBoundsCache",
     "WorldIndex",
 ]

@@ -1,9 +1,9 @@
 """Open-loop asyncio load driver: hold the schedule, record the truth.
 
 :func:`drive` replays a :class:`~repro.loadgen.generator.Schedule`
-against a running frontend (either :class:`AioGateway` or the threaded
-``ServiceHTTPServer`` — both speak the same wire protocol) and folds
-every response into an :class:`~repro.loadgen.slo.SLOTracker`.
+against a running :class:`~repro.service.aio_gateway.AioGateway` (a
+``repro serve`` process or an in-process gateway) and folds every
+response into an :class:`~repro.loadgen.slo.SLOTracker`.
 
 The driver is **open-loop**: each request is dispatched at its
 scheduled offset whether or not earlier requests have completed.  A
@@ -225,8 +225,7 @@ def drive(
 
     Blocking wrapper around the asyncio driver — callable from the CLI,
     benches, and tests without an event loop of their own.  *url* must
-    point at a frontend speaking the shared wire protocol (either the
-    asyncio gateway or the threaded server).
+    point at the service's HTTP gateway.
     """
     if max_in_flight < 1:
         raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")

@@ -11,7 +11,9 @@ structured, JSON-stable :class:`report <SLOTracker.report>`:
 * latency quantiles (p50/p90/p99/max) vs the declared targets;
 * degraded-answer rate, broken down by ``degraded_reason`` — a shed
   query, an expired deadline, and a dead shard are different incidents
-  even though all three are "degraded";
+  even though all three are "degraded" (per-query counts in a reason,
+  such as ``(256/1000 worlds)`` or ``(hit #7)``, are dropped from the
+  bucket key so one fault makes one bucket);
 * cache hit rate and shed rate over the run window (metric deltas, so
   a long-lived service's history does not pollute the run);
 * error-budget burn: how much of the allowed badness this run spent.
@@ -26,6 +28,7 @@ a run shows up in ``GET /metrics`` next to the service's own signals.
 
 from __future__ import annotations
 
+import re
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -36,6 +39,11 @@ __all__ = ["SLOTargets", "SLOTracker", "REPORT_SCHEMA_VERSION"]
 
 #: Bumped whenever the report's key set changes incompatibly.
 REPORT_SCHEMA_VERSION = 2
+
+#: Per-query counts inside a degraded reason — budget progress such as
+#: ``(256/1000 worlds)`` or ``(3/8 strata)``, and a fault's
+#: ``(hit #N)`` — stripped from ``degraded.by_reason`` keys.
+_PER_QUERY_COUNTS = re.compile(r"\s*\((?:hit #\d+|\d+/\d+ [a-z]+)\)")
 
 
 @dataclass(frozen=True)
@@ -132,7 +140,7 @@ class SLOTracker:
                 return
             if degraded:
                 self._counts["degraded"] += 1
-                key = str(reason) or "unspecified"
+                key = _PER_QUERY_COUNTS.sub("", str(reason)) or "unspecified"
                 self._degraded_reasons[key] = (
                     self._degraded_reasons.get(key, 0) + 1
                 )

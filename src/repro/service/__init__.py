@@ -3,14 +3,15 @@
 Everything above a single blocking :meth:`RQTreeEngine.query` call
 lives here: one shared engine served through a request queue and a
 worker pool, with cross-query world batching, admission control, a
-TTL'd result cache, a metrics registry, and a stdlib-only HTTP JSON
-frontend.
+TTL'd result cache, a metrics registry, and a stdlib-only asyncio HTTP
+JSON frontend.
 
 * :mod:`repro.service.metrics` — counters / gauges / latency
   histograms, snapshot-able as JSON (also what the core pipeline's
   built-in instrumentation records to);
-* :mod:`repro.service.cache` — :class:`TTLResultCache`, keyed on the
-  full query signature including ``graph.version``;
+* :mod:`repro.service.cache` — :class:`TTLResultCache`, the one
+  result cache, keyed on the full query signature including
+  ``graph.version`` and the live epoch;
 * :mod:`repro.service.batcher` — :class:`WorldBatcher`, sharing one
   sampled batch of worlds (a :class:`repro.accel.coins.CoinBlock`)
   between concurrent queries with the same sampling signature;
@@ -19,12 +20,10 @@ frontend.
   load-shedding into degraded answers);
 * :mod:`repro.service.server` — :class:`ReliabilityService`, the
   facade tying the above together;
-* :mod:`repro.service.wire` — the JSON wire protocol both HTTP
-  frontends share (request parsing, result serialization);
-* :mod:`repro.service.http_api` — the legacy thread-per-connection
-  ``http.server`` JSON frontend;
+* :mod:`repro.service.wire` — the JSON wire protocol (request
+  parsing, result serialization);
 * :mod:`repro.service.aio_gateway` — :class:`AioGateway`, the asyncio
-  frontend ``repro serve`` uses by default (thousands of connections,
+  HTTP frontend ``repro serve`` runs (thousands of connections,
   explicit backpressure, streamed ``/batch`` responses).
 
 Import note: this package's ``__init__`` is deliberately lazy (PEP
@@ -45,7 +44,6 @@ __all__ = [
     "get_registry",
     "set_registry",
     "ReliabilityService",
-    "ServiceHTTPServer",
     "AioGateway",
     "AdmissionPolicy",
     "WorkerPool",
@@ -57,7 +55,6 @@ __all__ = [
 #: Lazily resolved attribute -> (module, name) map (PEP 562).
 _LAZY = {
     "ReliabilityService": ("server", "ReliabilityService"),
-    "ServiceHTTPServer": ("http_api", "ServiceHTTPServer"),
     "AioGateway": ("aio_gateway", "AioGateway"),
     "AdmissionPolicy": ("pool", "AdmissionPolicy"),
     "WorkerPool": ("pool", "WorkerPool"),

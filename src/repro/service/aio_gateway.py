@@ -1,21 +1,30 @@
 """Asyncio HTTP gateway: thousands of connections, one worker pool.
 
-The legacy frontend (:mod:`repro.service.http_api`) spends a thread per
-connection — fine for tens of clients, hopeless for the north star's
-concurrent-user counts.  :class:`AioGateway` serves the same JSON
-protocol (one spec, :mod:`repro.service.wire`) from a single event
-loop: connections are coroutines, queries bridge to the
-:class:`~repro.service.server.ReliabilityService` worker pool through
-``asyncio.wrap_future`` (the pool's ``concurrent.futures.Future``
-resolves on a worker thread and wakes the loop), and the loop thread
-itself never blocks on query work.
+:class:`AioGateway` is the service's HTTP frontend.  It serves the JSON
+protocol of :mod:`repro.service.wire` from a single event loop instead
+of a thread per connection: connections are coroutines, queries bridge
+to the :class:`~repro.service.server.ReliabilityService` worker pool
+through ``asyncio.wrap_future`` (the pool's
+``concurrent.futures.Future`` resolves on a worker thread and wakes the
+loop), and the loop thread itself never blocks on query work.
 
 Endpoints
 ---------
-* ``POST /query`` — identical to the legacy frontend.
-* ``POST /update`` — identical to the legacy frontend; the apply runs
-  on the default executor so a long update stream (payload rebuilds,
-  per-shard slice streaming) never stalls the event loop's queries.
+* ``POST /query`` — body is a JSON object with the fields of
+  :meth:`ReliabilityService.submit` (``sources``, ``eta``, optional
+  ``method`` / ``num_samples`` / ``seed`` / ``multi_source_mode`` /
+  ``max_hops``; other fields are ignored) plus optional budget fields
+  (``deadline_ms`` / ``max_worlds`` / ``max_candidate_nodes``).
+  Replies 200 with the serialized :class:`QueryResult` (degraded
+  answers included — shedding is not an HTTP error), or 400 with
+  ``{"error": ...}`` for malformed requests.
+* ``POST /update`` — body is a JSON array of arc-update ops (or
+  ``{"updates": [...]}``); replies 200 with ``{"accepted": true,
+  "epoch": E, "ops": N}`` when the service is live, 400 otherwise and
+  for rejected batches (rejection is atomic: a 400 applied nothing).
+  The apply runs on the default executor so a long update stream
+  (payload rebuilds, per-shard slice streaming) never stalls the event
+  loop's queries.
 * ``POST /batch`` — body ``{"queries": [<query body>, ...]}``; every
   query is submitted up front (so they share admission, dedup, and
   world batching like any concurrent burst) and results **stream** back
@@ -23,8 +32,9 @@ Endpoints
   same wire object a ``/query`` reply carries (or
   ``{"error": ...}`` for an individually malformed entry).  A client
   can consume the first answers while later ones still compute.
-* ``GET /metrics`` / ``GET /healthz`` — identical to the legacy
-  frontend.
+* ``GET /metrics`` — the service's merged metrics snapshot;
+  ``GET /healthz`` — liveness plus graph shape (and the serving epoch
+  and shard states when the engine has them).
 
 Backpressure
 ------------
@@ -39,13 +49,15 @@ Two explicit layers, nothing implicit:
   actionable signal.
 * **Admission shedding** — queries beyond ``max_in_flight`` still get
   a well-formed 200 with ``degraded: true`` and a ``Retry-After``
-  header (same contract as the legacy frontend): the request was
-  valid, the service chose not to spend compute on it.
+  header: the request was valid, the service chose not to spend
+  compute on it.
 
 Keep-alive: HTTP/1.1 persistent connections, honouring
 ``Connection: close``.  Bodies are read by ``Content-Length`` and
 always fully drained — even on 404 — so a desynchronized exchange is
-impossible by construction.
+impossible by construction; a ``Content-Length`` that is not a
+non-negative decimal integer is a 400 that closes the connection,
+since the body's end is then unknown.
 """
 
 from __future__ import annotations
@@ -91,12 +103,9 @@ class _HTTPError(Exception):
 class AioGateway:
     """A :class:`ReliabilityService` behind an asyncio HTTP server.
 
-    Interface-compatible with
-    :class:`~repro.service.http_api.ServiceHTTPServer`: ``start`` /
-    ``stop`` / ``serve_forever`` / ``address`` / ``url`` behave the
-    same, so the CLI and tests swap frontends with one flag.  The event
-    loop runs on a dedicated daemon thread; ``start`` returns once the
-    socket is bound.
+    The event loop runs on a dedicated daemon thread; ``start`` returns
+    once the socket is bound, ``serve_forever`` blocks until
+    interrupted, and ``stop`` closes the socket and the service.
 
     Parameters
     ----------
@@ -155,10 +164,6 @@ class AioGateway:
     def url(self) -> str:
         host, port = self.address
         return f"http://{host}:{port}"
-
-    @property
-    def open_connections(self) -> int:
-        return self._connections
 
     def start(self) -> "AioGateway":
         """Bind the socket and serve from a background daemon thread."""
@@ -296,16 +301,13 @@ class AioGateway:
                 return
             try:
                 method, path, headers = _parse_head(head)
+                length = _content_length(headers)
             except _HTTPError as error:
                 await self._write_response(
                     writer, error.status, {"error": str(error)},
                     keep_alive=False,
                 )
                 return
-            try:
-                length = int(headers.get("content-length", "0"))
-            except ValueError:
-                length = 0
             if length > _MAX_BODY_BYTES:
                 await self._write_response(
                     writer, 413, {"error": "request body too large"},
@@ -562,3 +564,13 @@ def _parse_head(
             raise _HTTPError(400, f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()
     return method, path, headers
+
+
+def _content_length(headers: Dict[str, str]) -> int:
+    """The declared body length (0 when absent); raises
+    :class:`_HTTPError` 400 unless it is a non-negative decimal
+    integer, since the body's end is then unknown."""
+    raw = headers.get("content-length", "0")
+    if not (raw.isascii() and raw.isdigit()):
+        raise _HTTPError(400, f"malformed Content-Length {raw!r}")
+    return int(raw)

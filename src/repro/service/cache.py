@@ -1,21 +1,21 @@
 """TTL'd query-result cache for the serving layer.
 
-:class:`CachingRQTreeEngine` memoizes forever and must be invalidated
-by hand after a graph mutation.  A *service* cannot rely on callers
-remembering to do that, so its cache is defensive on both axes:
+The service cannot rely on callers invalidating answers after a graph
+mutation, so its cache is defensive on both axes:
 
-* every key embeds ``graph.version`` — a mutation makes old entries
-  unreachable without any invalidation call;
+* every key embeds ``graph.version`` and the live epoch — a mutation
+  or an applied update makes old entries unreachable without any
+  invalidation call;
 * every entry carries a TTL — even version-stable answers age out, so
   a long-running service's memory is bounded by churn as well as by
   the LRU capacity.
 
-Only deterministic, un-budgeted queries are cached (``method="lb"`` /
-``"lb+"``, or ``"mc"`` with an explicit seed; budgeted results depend
-on wall-clock load and must not be replayed).  Statistics use the same
-:class:`~repro.core.caching.CacheStats` schema as
-:class:`CachingRQTreeEngine`, so the metrics snapshot and ``repro
-stats`` render both identically.
+Which queries may be cached is the estimator registry's call
+(:func:`repro.estimators.is_cacheable`): deterministic estimators
+(``lb``, ``lb+``, ``exact``) always, sampling estimators (and
+``auto``, which may pick one) only under an explicit seed.  The
+service also skips budgeted queries (their answers depend on
+wall-clock load) and never stores a degraded answer.
 """
 
 from __future__ import annotations
@@ -23,12 +23,42 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence, Tuple, Union
 
-from ..core.caching import CacheStats
 from ..core.engine import QueryResult
 
-__all__ = ["TTLResultCache"]
+__all__ = ["CacheStats", "TTLResultCache"]
+
+
+@dataclass
+class CacheStats:
+    """Hit/miss counters of a :class:`TTLResultCache`; the metrics
+    snapshot and ``repro stats --metrics`` render them."""
+
+    hits: int = 0
+    misses: int = 0
+    bypasses: int = 0
+    evictions: int = 0
+    #: Entries dropped because their TTL lapsed.
+    expirations: int = 0
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of cacheable queries answered from the cache."""
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def as_dict(self) -> dict:
+        """JSON-able snapshot (used by the service metrics endpoint)."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "bypasses": self.bypasses,
+            "evictions": self.evictions,
+            "expirations": self.expirations,
+            "hit_rate": self.hit_rate,
+        }
 
 
 class TTLResultCache:
@@ -128,24 +158,3 @@ class TTLResultCache:
         """Count a query that was not cacheable by contract."""
         with self._lock:
             self.stats.bypasses += 1
-
-    def purge_expired(self) -> int:
-        """Drop every expired entry now; returns how many were dropped."""
-        if self._ttl is None:
-            return 0
-        now = self._clock()
-        dropped = 0
-        with self._lock:
-            for key in [
-                k for k, (expires_at, _) in self._entries.items()
-                if now >= expires_at
-            ]:
-                del self._entries[key]
-                dropped += 1
-            self.stats.expirations += dropped
-        return dropped
-
-    def clear(self) -> None:
-        """Drop every entry (stats are preserved)."""
-        with self._lock:
-            self._entries.clear()

@@ -20,7 +20,8 @@ processes — the request path is identical either way):
   :class:`~repro.service.batcher.WorldBatcher`, so concurrent queries
   with the same sampling signature draw their Monte-Carlo coins once;
 * everything records into a :class:`MetricsRegistry`
-  (:meth:`metrics_snapshot` merges it with both caches' statistics).
+  (:meth:`metrics_snapshot` merges it with the result cache's
+  statistics).
 
 Determinism contract: for any fixed request, the answer produced
 through the service — whatever the worker count, cache state, or
@@ -37,7 +38,6 @@ import time
 from concurrent.futures import Future
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..core.caching import CachingRQTreeEngine
 from ..core.candidates import CandidateResult
 from ..core.engine import QueryResult, RQTreeEngine
 from ..estimators import is_cacheable, validate_method
@@ -95,14 +95,9 @@ class ReliabilityService:
     Parameters
     ----------
     engine:
-        The engine every worker queries.  A
-        :class:`~repro.core.caching.CachingRQTreeEngine` is unwrapped
-        (its LRU is not thread-safe; the service's own
-        :class:`TTLResultCache` takes over, and the wrapper's
-        statistics still appear in :meth:`metrics_snapshot`).  With
-        *shards* set, a bare :class:`UncertainGraph` is enough: the
-        shards build their own indexes, so no whole-graph index is
-        needed.
+        The engine every worker queries.  With *shards* set, a bare
+        :class:`UncertainGraph` is enough: the shards build their own
+        indexes, so no whole-graph index is needed.
     workers:
         Worker-thread count.
     admission:
@@ -167,10 +162,7 @@ class ReliabilityService:
 
     def __init__(
         self,
-        engine: Union[
-            RQTreeEngine, CachingRQTreeEngine, ShardedRQTreeEngine,
-            UncertainGraph,
-        ],
+        engine: Union[RQTreeEngine, ShardedRQTreeEngine, UncertainGraph],
         workers: int = 4,
         admission: Optional[AdmissionPolicy] = None,
         cache: Optional[TTLResultCache] = None,
@@ -185,11 +177,6 @@ class ReliabilityService:
         shard_hedge_after_ms: Optional[float] = None,
         live: bool = False,
     ) -> None:
-        if isinstance(engine, CachingRQTreeEngine):
-            self._engine_cache_stats = engine.stats
-            engine = engine.engine
-        else:
-            self._engine_cache_stats = None
         self._owned_sharded: Optional[ShardedRQTreeEngine] = None
         if shards is None and isinstance(engine, UncertainGraph):
             raise ValueError("a bare graph can only be served with shards=K")
@@ -546,8 +533,7 @@ class ReliabilityService:
         """Registry snapshot merged with the serving-layer state.
 
         The ``service`` section carries what plain instruments can't:
-        the result cache's :class:`CacheStats` (and, when the service
-        wraps a :class:`CachingRQTreeEngine`, the engine cache's too),
+        the result cache's :class:`~repro.service.cache.CacheStats`,
         pool shape, and live queue/in-flight depths.
         """
         snapshot = self._metrics().snapshot()
@@ -578,7 +564,5 @@ class ReliabilityService:
         epoch = getattr(self._engine, "epoch", None)
         if epoch is not None:
             service["epoch"] = epoch
-        if self._engine_cache_stats is not None:
-            service["engine_cache"] = self._engine_cache_stats.as_dict()
         snapshot["service"] = service
         return snapshot

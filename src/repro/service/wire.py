@@ -1,12 +1,10 @@
-"""Wire-format helpers shared by every HTTP frontend.
+"""Wire-format helpers: the JSON protocol of the HTTP frontend.
 
-Both frontends — the legacy threaded :mod:`repro.service.http_api` and
-the asyncio :mod:`repro.service.aio_gateway` — speak the same JSON
-protocol.  This module is the single definition of that protocol:
-request-body parsing (query fields, budget fields) and response
-serialization live here so the two servers cannot drift, and the
-conformance suite (``tests/test_http_conformance.py``) can hold both to
-one spec.
+This module is the single definition of the protocol that
+:mod:`repro.service.aio_gateway` speaks: request-body parsing (query
+fields, budget fields) and response serialization live here, apart
+from the socket handling, and the conformance suite
+(``tests/test_http_conformance.py``) holds the gateway to it.
 """
 
 from __future__ import annotations
@@ -91,7 +89,7 @@ _KNOWN_PATHS = frozenset(
 def observe_request(path: str, status: int, seconds: float) -> None:
     """Record one HTTP exchange into the ``service.http.*`` namespace.
 
-    Both frontends call this once per request, after the response is
+    The gateway calls this once per request, after the response is
     fully written, so the latency includes serialization and the socket
     write — the number a client-side SLO actually experiences minus the
     network.  Recorded instruments:

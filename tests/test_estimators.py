@@ -11,8 +11,8 @@ Covers the contracts the portfolio introduces:
   including the in-flight state budget that can fire mid-computation;
 * one typed :class:`InvalidMethodError` from the registry on every
   ``method=`` surface;
-* registry-driven cacheability (the ``lb+``/``exact`` caching
-  regression);
+* registry-driven cacheability in the service's result cache (the
+  ``lb+``/``exact`` caching regression);
 * ``planner.*`` counters and per-estimator latency histograms in the
   metrics snapshot;
 * exact answers bit-identical across shard counts.
@@ -25,7 +25,6 @@ import math
 import pytest
 
 from repro import RQTreeEngine, UncertainGraph
-from repro.core.caching import CachingRQTreeEngine
 from repro.core.detection import reliability_scores
 from repro.errors import InvalidMethodError
 from repro.estimators import (
@@ -45,6 +44,7 @@ from repro.graph.exact import exact_reliability
 from repro.graph.generators import uncertain_gnp, uncertain_path
 from repro.resilience import QueryBudget
 from repro.service.metrics import MetricsRegistry, get_registry
+from repro.service.server import ReliabilityService
 from repro.shard.engine import ShardedRQTreeEngine
 
 ALL_METHODS = ("lb", "lb+", "mc", "rss", "lazy", "exact")
@@ -285,11 +285,6 @@ class TestInvalidMethodSurfaces:
         with pytest.raises(InvalidMethodError):
             reliability_scores(parity_engine, [0], 0.3, method="bogus")
 
-    def test_caching_engine(self, parity_engine):
-        caching = CachingRQTreeEngine(parity_engine)
-        with pytest.raises(InvalidMethodError):
-            caching.query([0], 0.3, method="bogus", seed=1)
-
     def test_sharded_engine(self, grid_graph):
         engine = ShardedRQTreeEngine.build(
             grid_graph, shards=2, mode="inline", seed=0
@@ -303,8 +298,6 @@ class TestInvalidMethodSurfaces:
             engine.close()
 
     def test_service_submit(self, parity_engine):
-        from repro.service.server import ReliabilityService
-
         service = ReliabilityService(parity_engine, workers=1)
         try:
             with pytest.raises(InvalidMethodError):
@@ -330,29 +323,33 @@ class TestCacheability:
     def test_unknown_methods_never_cache(self):
         assert not is_cacheable("bogus", 7)
 
+    @staticmethod
+    def _query_twice(engine, method):
+        """The service's cache stats after the same unseeded query ran
+        twice, and the two answers."""
+        with ReliabilityService(engine, workers=1) as service:
+            first = service.query([0], 0.3, method=method, timeout=60)
+            second = service.query([0], 0.3, method=method, timeout=60)
+        return service.cache.stats, first, second
+
     def test_unseeded_packing_hits_the_cache(self, parity_engine):
         """Regression: ``lb+`` is deterministic, but the old predicate
         (``method == "lb" or seed is not None``) bypassed the cache for
         every unseeded non-lb query."""
-        caching = CachingRQTreeEngine(parity_engine)
-        first = caching.query([0], 0.3, method="lb+")
-        second = caching.query([0], 0.3, method="lb+")
-        assert caching.stats.hits == 1
-        assert caching.stats.bypasses == 0
-        assert first.nodes == second.nodes
+        stats, first, second = self._query_twice(parity_engine, "lb+")
+        assert stats.hits == 1
+        assert stats.bypasses == 0
+        assert second is first
 
     def test_unseeded_exact_hits_the_cache(self, parity_engine):
-        caching = CachingRQTreeEngine(parity_engine)
-        caching.query([0], 0.3, method="exact")
-        caching.query([0], 0.3, method="exact")
-        assert caching.stats.hits == 1
+        stats, first, second = self._query_twice(parity_engine, "exact")
+        assert stats.hits == 1
+        assert second is first
 
     def test_unseeded_auto_bypasses(self, parity_engine):
-        caching = CachingRQTreeEngine(parity_engine)
-        caching.query([0], 0.3, method="auto")
-        caching.query([0], 0.3, method="auto")
-        assert caching.stats.hits == 0
-        assert caching.stats.bypasses == 2
+        stats, first, second = self._query_twice(parity_engine, "auto")
+        assert stats.hits == 0
+        assert stats.bypasses == 2
 
 
 # ----------------------------------------------------------------------

@@ -1,46 +1,67 @@
-"""One HTTP spec, two frontends.
+"""The HTTP spec, held against the asyncio gateway.
 
-While the legacy thread-per-connection server and the asyncio gateway
-coexist, every protocol behaviour is asserted against *both* through
-one parameterized suite: status codes on every error path, keep-alive
+Every protocol behaviour is asserted over real sockets: status codes on
+every error path (malformed ``Content-Length`` included), keep-alive
 correctness (including the historical unread-body desync after a 404),
-shed semantics, and bit-identical answers.  Gateway-only behaviour
-(connection cap, ``/batch`` streaming) is tested separately at the
-bottom.
+shed semantics, answers equal to a direct engine query, the connection
+cap and ``/batch`` streaming.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
 
 import pytest
 
+from repro.service.aio_gateway import AioGateway
 from repro.service.server import ReliabilityService
 
-FRONTENDS = ("thread", "aio")
 
-
-def _make_server(frontend, service, **kwargs):
-    if frontend == "thread":
-        from repro.service.http_api import ServiceHTTPServer
-
-        return ServiceHTTPServer(service, host="127.0.0.1", port=0)
-    from repro.service.aio_gateway import AioGateway
-
+def _gateway(service, **kwargs):
     return AioGateway(service, host="127.0.0.1", port=0, **kwargs)
 
 
-@pytest.fixture(params=FRONTENDS)
-def server(request, medium_engine):
+# The one parameter keeps the test ids naming the frontend, as
+# ``/healthz``'s ``"frontend": "aio"`` does.
+@pytest.fixture(params=["aio"])
+def server(medium_engine):
     service = ReliabilityService(medium_engine, workers=2)
-    with _make_server(request.param, service) as srv:
+    with _gateway(service) as srv:
         yield srv
 
 
 def _connect(server) -> http.client.HTTPConnection:
     host, port = server.address
     return http.client.HTTPConnection(host, port, timeout=60)
+
+
+def _raw_exchange(server, request: bytes) -> bytes:
+    """Send *request* on a fresh socket, half-close it, and return every
+    byte the server writes before it closes the connection."""
+    chunks = []
+    with socket.create_connection(server.address, timeout=30) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _split_response(data: bytes):
+    """``(status, headers, body, rest)`` of the first response in
+    *data*; *rest* is whatever the server wrote after it."""
+    head, _, rest = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = int(headers["content-length"])
+    return int(lines[0].split()[1]), headers, rest[:length], rest[length:]
 
 
 def _post(conn, path, body_obj=None, raw=None):
@@ -70,6 +91,24 @@ def test_query_matches_direct_engine(server, medium_engine):
         )
         assert reply["nodes"] == sorted(expected.nodes)
         assert reply["degraded"] is False
+        assert set(reply["statuses"]) == {
+            str(n) for n in expected.statuses
+        }
+    finally:
+        conn.close()
+
+
+def test_deadline_body_answers_degraded_200(server):
+    # A budget over the wire: the deadline expires, and the answer is a
+    # well-formed partial one, not an error.
+    conn = _connect(server)
+    try:
+        response, payload = _post(conn, "/query", {
+            "sources": [3], "eta": 0.5, "method": "mc",
+            "num_samples": 200, "seed": 4, "deadline_ms": 1e-6,
+        })
+        assert response.status == 200
+        assert json.loads(payload)["degraded"] is True
     finally:
         conn.close()
 
@@ -100,10 +139,10 @@ def test_quality_block_schema(server):
 
     Monitoring pipelines alert off these eight keys, so they must be
     present with exactly these names and JSON types on every answer —
-    healthy, degraded, or shed — from both frontends.  ``estimator``
-    and ``planner_reason`` expose the portfolio decision: which
-    estimator actually ran and why; ``epoch`` is the update-plane
-    generation the answer was computed against (0 on a frozen engine).
+    healthy, degraded, or shed.  ``estimator`` and ``planner_reason``
+    expose the portfolio decision: which estimator actually ran and
+    why; ``epoch`` is the update-plane generation the answer was
+    computed against (0 on a frozen engine).
     """
     expected_keys = {
         "achieved_confidence", "worlds_used", "degraded",
@@ -161,7 +200,7 @@ def test_quality_block_schema(server):
         conn.close()
 
 
-def test_healthz_and_metrics(server):
+def test_healthz_and_metrics(server, medium_engine):
     conn = _connect(server)
     try:
         conn.request("GET", "/healthz")
@@ -170,12 +209,17 @@ def test_healthz_and_metrics(server):
         assert response.status == 200
         assert health["status"] == "ok"
         assert health["workers"] == 2
+        assert health["nodes"] == medium_engine.graph.num_nodes
+        assert health["frontend"] == "aio"
 
+        response, _ = _post(conn, "/query", {"sources": [3], "eta": 0.5})
+        assert response.status == 200
         conn.request("GET", "/metrics")
         response = conn.getresponse()
         snapshot = json.loads(response.read())
         assert response.status == 200
-        assert "service" in snapshot
+        assert snapshot["counters"]["service.completed"] >= 1
+        assert "result_cache" in snapshot["service"]
     finally:
         conn.close()
 
@@ -211,6 +255,25 @@ def test_invalid_parameters_are_400(server):
         assert "error" in json.loads(payload)
     finally:
         conn.close()
+
+
+@pytest.mark.parametrize("length", ["-5", "abc"])
+def test_malformed_content_length_is_400_and_closes(server, length):
+    """Without a valid length the body's end is unknown, so the gateway
+    answers 400 and closes: the body bytes (here a whole request) must
+    never be parsed as the next request."""
+    smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+    data = _raw_exchange(
+        server,
+        b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: "
+        + length.encode() + b"\r\n\r\n" + smuggled,
+    )
+    assert data, "connection closed without a response"
+    status, headers, body, rest = _split_response(data)
+    assert status == 400
+    assert "Content-Length" in json.loads(body)["error"]
+    assert headers["connection"] == "close"
+    assert rest == b""
 
 
 def test_unknown_paths_are_404(server):
@@ -328,35 +391,11 @@ def test_shed_query_is_degraded_200_with_retry_after(server):
 
 
 # ----------------------------------------------------------------------
-# Cross-frontend parity: byte-identical answers
-# ----------------------------------------------------------------------
-def test_frontends_agree_bit_for_bit(medium_engine):
-    replies = {}
-    for frontend in FRONTENDS:
-        service = ReliabilityService(medium_engine, workers=2)
-        with _make_server(frontend, service) as srv:
-            conn = _connect(srv)
-            try:
-                _, payload = _post(conn, "/query", {
-                    "sources": [5], "eta": 0.4, "method": "mc",
-                    "num_samples": 300, "seed": 11,
-                })
-                reply = json.loads(payload)
-                # Wall-clock instrumentation legitimately differs.
-                reply.pop("candidate_seconds")
-                reply.pop("verification_seconds")
-                replies[frontend] = reply
-            finally:
-                conn.close()
-    assert replies["thread"] == replies["aio"]
-
-
-# ----------------------------------------------------------------------
-# Gateway-only behaviour
+# Connection cap and /batch streaming
 # ----------------------------------------------------------------------
 def test_gateway_connection_cap_503(medium_engine):
     service = ReliabilityService(medium_engine, workers=1)
-    with _make_server("aio", service, max_connections=2) as srv:
+    with _gateway(service, max_connections=2) as srv:
         host, port = srv.address
         held = [http.client.HTTPConnection(host, port, timeout=30)
                 for _ in range(2)]
@@ -380,7 +419,7 @@ def test_gateway_connection_cap_503(medium_engine):
 
 def test_gateway_batch_streams_in_order(medium_engine):
     service = ReliabilityService(medium_engine, workers=2)
-    with _make_server("aio", service) as srv:
+    with _gateway(service) as srv:
         conn = _connect(srv)
         try:
             queries = [{"sources": [i], "eta": 0.5} for i in range(5)]
@@ -408,7 +447,7 @@ def test_gateway_batch_streams_in_order(medium_engine):
 
 def test_gateway_batch_rejects_non_array(medium_engine):
     service = ReliabilityService(medium_engine, workers=1)
-    with _make_server("aio", service) as srv:
+    with _gateway(service) as srv:
         conn = _connect(srv)
         try:
             response, payload = _post(conn, "/batch", {"queries": "nope"})
@@ -421,7 +460,7 @@ def test_gateway_many_concurrent_connections(medium_engine):
     """Hundreds of sockets held open at once — far beyond what a
     thread-per-connection frontend would tolerate comfortably."""
     service = ReliabilityService(medium_engine, workers=2)
-    with _make_server("aio", service) as srv:
+    with _gateway(service) as srv:
         host, port = srv.address
         conns = [http.client.HTTPConnection(host, port, timeout=60)
                  for _ in range(200)]

@@ -297,11 +297,11 @@ def test_cli_loadgen_record_then_replay(
     report = json.loads(report_path.read_text())
     assert report["gates"]["ok"]
 
-    # Replay the recorded file through the other frontend; identical
-    # traffic, and an impossible gate must flip the exit code.
+    # Replay the recorded file: identical traffic, and an impossible
+    # gate must flip the exit code.
     assert main([
         "loadgen", "--graph", str(graph_path),
-        "--replay", str(schedule_path), "--frontend", "thread",
+        "--replay", str(schedule_path),
         "--workers", "2", "--gate-p99-ms", "0.0001",
     ]) == 1
 

@@ -189,6 +189,33 @@ def test_slo_report_schema(fresh_registry):
     assert report["error_budget"]["burn"] == pytest.approx(2 / 1.5, abs=1e-3)
 
 
+def test_slo_degraded_buckets_drop_per_query_counts(fresh_registry):
+    """One fault makes one bucket: reasons that differ only in a
+    per-query count (a fault's hit number, a budget's progress) share a
+    ``by_reason`` key."""
+    from repro.errors import InjectedFault, SamplingKernelError
+    from repro.loadgen.slo import SLOTracker
+
+    def degraded(reason):
+        return {"quality": {"degraded": True, "degraded_reason": reason}}
+
+    tracker = SLOTracker()
+    for hit in (1, 2):
+        tracker.observe("query", 0.01, 200, degraded(str(
+            SamplingKernelError(InjectedFault("mc.kernel.chunk", hit))
+        )))
+    for done in (256, 512):
+        tracker.observe("query", 0.01, 200, degraded(
+            f"deadline expired during MC verification ({done}/1000 worlds)"
+        ))
+    report = tracker.report(wall_seconds=1.0)
+    assert report["degraded"]["by_reason"] == {
+        "sampling kernel failed: InjectedFault: injected fault at point "
+        "'mc.kernel.chunk'": 2,
+        "deadline expired during MC verification": 2,
+    }
+
+
 def test_slo_gates_breach_detection(fresh_registry):
     from repro.loadgen.slo import SLOTargets, SLOTracker
 

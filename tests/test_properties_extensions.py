@@ -13,12 +13,7 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import (
-    CachingRQTreeEngine,
-    DynamicRQTreeEngine,
-    RQTreeEngine,
-    UncertainGraph,
-)
+from repro import DynamicRQTreeEngine, RQTreeEngine, UncertainGraph
 from repro.graph.condense import contract_certain_sccs
 from repro.graph.exact import (
     exact_hop_reliability,
@@ -32,6 +27,7 @@ from repro.graph.transforms import (
     threshold_backbone,
 )
 from repro.reliability.variance_reduction import stratified_reliability
+from repro.service import ReliabilityService
 
 PROBS = st.floats(min_value=0.05, max_value=1.0, allow_nan=False)
 
@@ -143,10 +139,11 @@ def test_backbone_reachability_implies_reliability(g, tau):
 @given(small_uncertain_graphs(), st.floats(0.1, 0.9))
 def test_cached_engine_answers_match_uncached(g, eta):
     engine = RQTreeEngine.build(g, seed=0)
-    cached = CachingRQTreeEngine(engine, capacity=8)
     direct = engine.query(0, eta).nodes
-    first = cached.query(0, eta).nodes
-    second = cached.query(0, eta).nodes  # served from cache
+    with ReliabilityService(engine, workers=1) as service:
+        first = service.query(0, eta, timeout=60).nodes
+        second = service.query(0, eta, timeout=60).nodes  # from the cache
+        assert service.cache.stats.hits == 1
     assert first == direct
     assert second == direct
 

@@ -6,7 +6,10 @@ batching, caching, injected faults, or expired budgets — must produce
 byte-identical per-query answers to running the same queries serially
 against the bare engine.  The rest covers the layer's own machinery:
 admission control and load shedding, the TTL'd result cache,
-single-flight deduplication, the metrics registry, and the HTTP API.
+single-flight deduplication, the metrics registry, and ``repro stats``
+over a saved snapshot.  The HTTP protocol is
+``tests/test_http_conformance.py``; the cache's per-method contract is
+``tests/test_caching.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import time
 
 import pytest
 
-from repro.core.caching import CachingRQTreeEngine
 from repro.errors import EmptySourceSetError
 from repro.resilience import UNVERIFIED, FaultPlan, QueryBudget
 from repro.service import (
@@ -292,7 +294,7 @@ def test_ttl_cache_expiry_and_lru():
     assert cache.stats.expirations == 1
     assert cache.get("c") == "rc"  # inserted at t=5, still live
     clock[0] = 20.0
-    assert cache.purge_expired() == 1
+    assert cache.get("c") is None  # an expired entry is dropped on read
     assert len(cache) == 0
 
 
@@ -487,115 +489,39 @@ def test_registry_snapshot_and_name_collisions(fresh_registry):
 
 
 def test_service_snapshot_merges_cache_stats(medium_engine, fresh_registry):
-    caching = CachingRQTreeEngine(medium_engine)
-    caching.query([2], 0.5)
-    caching.query([2], 0.5)
-    service = ReliabilityService(caching, workers=1)
+    service = ReliabilityService(medium_engine, workers=1)
     with service:
+        service.query([2], 0.5, timeout=60)
         service.query([2], 0.5, timeout=60)
     snapshot = service.metrics_snapshot()
     json.dumps(snapshot)
-    assert snapshot["service"]["engine_cache"]["hits"] == 1
     assert snapshot["service"]["result_cache"]["misses"] == 1
+    assert snapshot["service"]["result_cache"]["hits"] == 1
+    assert "engine_cache" not in snapshot["service"]
     assert snapshot["service"]["workers"] == 1
-    assert snapshot["counters"]["engine.queries"] >= 2
+    assert snapshot["counters"]["engine.queries"] == 1
     assert "engine.filter_seconds" in snapshot["histograms"]
 
 
 # ----------------------------------------------------------------------
-# HTTP API
+# repro stats --metrics
 # ----------------------------------------------------------------------
-def test_http_api_end_to_end(medium_engine):
-    from urllib.error import HTTPError
-    from urllib.request import Request, urlopen
-
-    from repro.service.http_api import ServiceHTTPServer
+def test_stats_renders_metrics_snapshot(
+    medium_engine, tmp_path, capsys, fresh_registry
+):
+    from repro.cli import main
 
     service = ReliabilityService(medium_engine, workers=2)
-    server = ServiceHTTPServer(service, host="127.0.0.1", port=0)
-    with server:
-        base = server.url
-
-        with urlopen(f"{base}/healthz", timeout=30) as response:
-            health = json.load(response)
-        assert health["status"] == "ok"
-        assert health["nodes"] == medium_engine.graph.num_nodes
-
-        body = json.dumps({
-            "sources": [3], "eta": 0.5, "method": "mc",
-            "num_samples": 200, "seed": 4,
-        }).encode()
-        request = Request(
-            f"{base}/query", data=body,
-            headers={"Content-Type": "application/json"},
-        )
-        with urlopen(request, timeout=60) as response:
-            reply = json.load(response)
-        expected = medium_engine.query(
-            [3], 0.5, method="mc", num_samples=200, seed=4
-        )
-        assert reply["nodes"] == sorted(expected.nodes)
-        assert reply["degraded"] is False
-        assert set(reply["statuses"]) == {
-            str(n) for n in expected.statuses
-        }
-
-        # budgeted query over the wire
-        body = json.dumps({
-            "sources": [3], "eta": 0.5, "method": "mc",
-            "num_samples": 200, "seed": 4, "deadline_ms": 1e-6,
-        }).encode()
-        request = Request(
-            f"{base}/query", data=body,
-            headers={"Content-Type": "application/json"},
-        )
-        with urlopen(request, timeout=60) as response:
-            degraded = json.load(response)
-        assert degraded["degraded"] is True
-
-        with urlopen(f"{base}/metrics", timeout=30) as response:
-            snapshot = json.load(response)
-        assert snapshot["counters"]["service.completed"] >= 2
-        assert "result_cache" in snapshot["service"]
-
-        # malformed bodies are 400, unknown paths 404
-        for bad in (b"not json", b'{"eta": 0.5}',
-                    b'{"sources": [3], "eta": "high"}'):
-            request = Request(
-                f"{base}/query", data=bad,
-                headers={"Content-Type": "application/json"},
+    with service:
+        for source in range(12):
+            service.query(
+                [source], 0.5, method="mc", num_samples=100, seed=2,
+                timeout=60,
             )
-            with pytest.raises(HTTPError) as excinfo:
-                urlopen(request, timeout=30)
-            assert excinfo.value.code == 400
-        with pytest.raises(HTTPError) as excinfo:
-            urlopen(f"{base}/nope", timeout=30)
-        assert excinfo.value.code == 404
-
-
-def test_bench_serve_in_process(tmp_path, capsys, fresh_registry):
-    from repro.cli import main
-    from repro.graph.generators import nethept_like
-    from repro.graph.io import write_edge_list
-
-    graph_path = tmp_path / "g.txt"
-    write_edge_list(nethept_like(n=120, seed=3), str(graph_path))
     metrics_path = tmp_path / "metrics.json"
-    code = main([
-        "bench-serve", "--graph", str(graph_path),
-        "--queries", "12", "--concurrency", "4", "--workers", "2",
-        "--method", "mc", "--samples", "100", "--seed", "2",
-        "--check", "--metrics-out", str(metrics_path),
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "throughput" in out
-    snapshot = json.loads(metrics_path.read_text())
-    assert snapshot["counters"]["service.completed"] == 12
-
-    # repro stats renders the snapshot
-    code = main(["stats", "--metrics", str(metrics_path)])
-    assert code == 0
+    metrics_path.write_text(json.dumps(service.metrics_snapshot()))
+    assert main(["stats", "--metrics", str(metrics_path)]) == 0
     out = capsys.readouterr().out
     assert "service counters" in out
+    assert "service latency histograms" in out
     assert "result cache statistics" in out
