@@ -4,9 +4,7 @@
   (Section 6 fixes b = 2 "for simplicity"): trade tree height against
   split granularity and measure the effect on pruning and query time;
 * **incremental maintenance** — query quality and cost of the dynamic
-  engine across a stream of arc updates, versus rebuild-from-scratch;
-* **RIS vs Greedy influence maximization** — situating the paper's
-  Section 7.7 pipeline against the modern reverse-reachable-set method.
+  engine across a stream of arc updates, versus rebuild-from-scratch.
 """
 
 from __future__ import annotations
@@ -19,14 +17,11 @@ import pytest
 from repro import (
     DynamicRQTreeEngine,
     RQTreeEngine,
-    expected_spread_mc,
     load_dataset,
 )
 from repro.core.builder import build_rqtree
 from repro.eval.reporting import format_table
 from repro.eval.workload import single_source_workload
-from repro.influence.greedy import greedy_mc
-from repro.influence.ris import ris_influence_maximization
 
 from conftest import write_result
 
@@ -148,46 +143,3 @@ def test_incremental_maintenance(benchmark):
     assert agree  # correctness is never at stake
     # The dynamic index's pruning stays within reach of a fresh build.
     assert ratio_dyn <= ratio_static + 0.25
-
-
-def test_ris_vs_greedy(benchmark):
-    graph = load_dataset("lastfm", n=1000, seed=8)
-    k = 5
-    pool = sorted(graph.nodes(), key=graph.out_degree, reverse=True)[:50]
-
-    def run():
-        start = time.perf_counter()
-        mc_trace = greedy_mc(graph, k, num_samples=500, seed=0, candidates=pool)
-        time_mc = time.perf_counter() - start
-
-        start = time.perf_counter()
-        ris_seeds, _ = ris_influence_maximization(
-            graph, k, num_sets=20000, seed=0
-        )
-        time_ris = time.perf_counter() - start
-
-        spread_mc = expected_spread_mc(
-            graph, mc_trace.seeds, num_samples=1500, seed=5
-        )
-        spread_ris = expected_spread_mc(
-            graph, ris_seeds, num_samples=1500, seed=5
-        )
-        return time_mc, time_ris, spread_mc, spread_ris
-
-    time_mc, time_ris, spread_mc, spread_ris = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    write_result(
-        "extension_ris",
-        format_table(
-            ["method", "spread (common MC eval)", "time (s)"],
-            [
-                ("Greedy + MC (pool of 50)", spread_mc, time_mc),
-                ("RIS (whole graph)", spread_ris, time_ris),
-            ],
-            title=f"Extension: RIS vs Greedy+MC, k={k} seeds "
-            "(lastfm-like n=1000)",
-        ),
-    )
-    # RIS must reach a competitive spread while searching ALL nodes.
-    assert spread_ris >= 0.7 * spread_mc

@@ -42,9 +42,6 @@ REPORT_ORDER = [
     ("Ablation — Theorem-5 early accept", "ablation_cheap_bound"),
     ("Extension — branching factor", "extension_branching"),
     ("Extension — incremental maintenance", "extension_maintenance"),
-    ("Extension — RIS vs Greedy", "extension_ris"),
-    ("Future work — correlated arcs", "correlation"),
-    ("Index shoot-out — RQ-tree vs sampled worlds", "worldindex_tradeoff"),
     ("Monte-Carlo estimator comparison (after Fishman [13])",
      "estimator_comparison"),
     ("Distance-constrained queries", "hop_constrained"),

@@ -80,20 +80,11 @@ from .core.detection import (
     top_k_reliable,
 )
 from .core.maintenance import DynamicRQTreeEngine, MaintenanceStats
-from .core.worldindex import WorldIndex
 from .reliability.montecarlo import mc_sampling_search, mc_reliability
 from .reliability.rht import rht_reliability, rht_reliability_search
-from .reliability.variants import (
-    k_terminal_reliability,
-    all_terminal_reliability,
-)
 from .influence.spread import expected_spread_mc, expected_spread_histogram
 from .influence.greedy import greedy_mc, greedy_rqtree, GreedyTrace
-from .influence.ris import ris_influence_maximization, build_rr_sketch, RRSketch
-from .graph.correlated import SharedFateModel, correlated_mc_search
 from .shard import ShardPlan, build_shard_plan, ShardedRQTreeEngine
-from .apps.clustering import reliable_kcenter, ReliableClustering
-from .apps.hardening import greedy_hardening, HardeningPlan
 from .datasets.registry import load_dataset, dataset_names
 
 __version__ = "1.0.0"
@@ -157,7 +148,6 @@ __all__ = [
     "top_k_reliable",
     "DynamicRQTreeEngine",
     "MaintenanceStats",
-    "WorldIndex",
     # sharded serving
     "ShardPlan",
     "build_shard_plan",
@@ -167,23 +157,12 @@ __all__ = [
     "mc_reliability",
     "rht_reliability",
     "rht_reliability_search",
-    "k_terminal_reliability",
-    "all_terminal_reliability",
     # influence maximization
     "expected_spread_mc",
     "expected_spread_histogram",
     "greedy_mc",
     "greedy_rqtree",
     "GreedyTrace",
-    "ris_influence_maximization",
-    "build_rr_sketch",
-    "RRSketch",
-    "SharedFateModel",
-    "correlated_mc_search",
-    "reliable_kcenter",
-    "ReliableClustering",
-    "greedy_hardening",
-    "HardeningPlan",
     # datasets
     "load_dataset",
     "dataset_names",

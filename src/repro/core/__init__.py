@@ -34,7 +34,6 @@ from .detection import (
 )
 from .maintenance import DynamicRQTreeEngine, MaintenanceStats
 from .bounds_cache import ClusterBoundsCache
-from .worldindex import WorldIndex
 
 __all__ = [
     "RQTree",
@@ -69,5 +68,4 @@ __all__ = [
     "DynamicRQTreeEngine",
     "MaintenanceStats",
     "ClusterBoundsCache",
-    "WorldIndex",
 ]

@@ -9,7 +9,9 @@ heuristic for) Problem 3 — the balanced ratio-cut objective on weights
 The paper fixes the branching factor to 2 "for simplicity"; this builder
 generalizes to any ``branching >= 2`` by recursive bisection inside each
 split (k-way splits trade tree height against per-level pruning
-granularity — see ``benchmarks/bench_branching.py`` for the ablation).
+granularity — see
+``benchmarks/bench_extensions.py::test_branching_factor`` for the
+ablation).
 
 Because each level of the recursion touches every node/arc once and the
 tree is balanced, index construction costs ``O((n + m) log n)`` and the

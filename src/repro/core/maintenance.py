@@ -66,9 +66,10 @@ class DynamicRQTreeEngine:
         boundaries, and re-partitioning a handful of nodes cannot
         improve pruning.  Damage on small clusters still propagates to
         their (large) ancestors through the per-level charging.
-    rebuild_seed / strategy / branching / max_imbalance:
-        Passed through to the builder for both the initial build and
-        subtree rebuilds.
+    seed / strategy / max_imbalance:
+        Passed to the builder for the initial build, for
+        :meth:`force_rebuild` and for subtree repairs.  Repairs split
+        binary, like the initial build.
 
     Example
     -------
@@ -85,34 +86,14 @@ class DynamicRQTreeEngine:
         damage_threshold: float = 0.25,
         seed: int = 0,
         strategy: str = "multilevel",
-        branching: int = 2,
         max_imbalance: float = 0.1,
         min_rebuild_size: int = 8,
     ) -> None:
-        if damage_threshold <= 0:
-            raise ValueError(
-                f"damage_threshold must be positive, got {damage_threshold}"
-            )
-        if min_rebuild_size < 2:
-            raise ValueError(
-                f"min_rebuild_size must be >= 2, got {min_rebuild_size}"
-            )
-        self.min_rebuild_size = min_rebuild_size
-        self.graph = graph
-        self.damage_threshold = damage_threshold
-        self._seed = seed
-        self._strategy = strategy
-        self._branching = branching
-        self._max_imbalance = max_imbalance
-        self._engine = RQTreeEngine.build(
-            graph,
-            max_imbalance=max_imbalance,
-            seed=seed,
-            strategy=strategy,
+        self._configure(
+            graph, damage_threshold, seed, strategy, max_imbalance,
+            min_rebuild_size,
         )
-        # damage[cluster_index] accumulates boundary-crossing updates.
-        self._damage: Dict[int, int] = {}
-        self.stats = MaintenanceStats()
+        self._engine = self._build_engine()
 
     @classmethod
     def from_engine(
@@ -121,7 +102,6 @@ class DynamicRQTreeEngine:
         damage_threshold: float = 0.25,
         seed: int = 0,
         strategy: str = "multilevel",
-        branching: int = 2,
         max_imbalance: float = 0.1,
         min_rebuild_size: int = 8,
     ) -> "DynamicRQTreeEngine":
@@ -134,6 +114,23 @@ class DynamicRQTreeEngine:
         applied after the wrap.
         """
         self = cls.__new__(cls)
+        self._configure(
+            engine.graph, damage_threshold, seed, strategy, max_imbalance,
+            min_rebuild_size,
+        )
+        self._engine = engine
+        return self
+
+    def _configure(
+        self,
+        graph: UncertainGraph,
+        damage_threshold: float,
+        seed: int,
+        strategy: str,
+        max_imbalance: float,
+        min_rebuild_size: int,
+    ) -> None:
+        """Validate and store the settings both constructors share."""
         if damage_threshold <= 0:
             raise ValueError(
                 f"damage_threshold must be positive, got {damage_threshold}"
@@ -142,17 +139,24 @@ class DynamicRQTreeEngine:
             raise ValueError(
                 f"min_rebuild_size must be >= 2, got {min_rebuild_size}"
             )
-        self.min_rebuild_size = min_rebuild_size
-        self.graph = engine.graph
+        self.graph = graph
         self.damage_threshold = damage_threshold
+        self.min_rebuild_size = min_rebuild_size
         self._seed = seed
         self._strategy = strategy
-        self._branching = branching
         self._max_imbalance = max_imbalance
-        self._engine = engine
-        self._damage = {}
+        # damage[cluster_index] accumulates boundary-crossing updates.
+        self._damage: Dict[int, int] = {}
         self.stats = MaintenanceStats()
-        return self
+
+    def _build_engine(self) -> RQTreeEngine:
+        """Build a whole-graph index with the stored settings."""
+        return RQTreeEngine.build(
+            self.graph,
+            max_imbalance=self._max_imbalance,
+            seed=self._seed,
+            strategy=self._strategy,
+        )
 
     # ------------------------------------------------------------------
     # Delegation
@@ -193,8 +197,8 @@ class DynamicRQTreeEngine:
         """Delete the arc ``(u, v)``.
 
         Removal can only *tighten* cuts, but it still invalidates the
-        balance/quality the partitioner optimized for, so it counts as
-        (half) damage against the same clusters.
+        balance/quality the partitioner optimized for, so it charges
+        the same clusters one damage unit each, as an insertion does.
         """
         self.graph.remove_arc(u, v)
         self.stats.arcs_removed += 1
@@ -292,7 +296,6 @@ class DynamicRQTreeEngine:
                 self._seed, "maintenance.rebuild", self.stats.subtree_rebuilds
             ),
             strategy=self._strategy,
-            branching=self._branching,
         )
         self._engine = RQTreeEngine(
             self.graph, new_tree, flow_engine=self._engine.flow_engine
@@ -304,12 +307,7 @@ class DynamicRQTreeEngine:
 
     def force_rebuild(self) -> None:
         """Rebuild the entire index now (e.g. after a bulk load)."""
-        self._engine = RQTreeEngine.build(
-            self.graph,
-            max_imbalance=self._max_imbalance,
-            seed=self._seed,
-            strategy=self._strategy,
-        )
+        self._engine = self._build_engine()
         self._damage.clear()
         self.stats.subtree_rebuilds += 1
         self.stats.nodes_repartitioned += self.graph.num_nodes

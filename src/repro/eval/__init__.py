@@ -9,8 +9,6 @@ from .harness import (
     mean_or_zero,
 )
 from .reporting import format_table, format_series, empirical_cdf
-from .bootstrap import ConfidenceInterval, bootstrap_mean, bootstrap_statistic
-from .comparison import MethodComparison, compare_methods, render_comparison
 
 __all__ = [
     "precision",
@@ -27,10 +25,4 @@ __all__ = [
     "format_table",
     "format_series",
     "empirical_cdf",
-    "ConfidenceInterval",
-    "bootstrap_mean",
-    "bootstrap_statistic",
-    "MethodComparison",
-    "compare_methods",
-    "render_comparison",
 ]

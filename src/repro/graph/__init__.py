@@ -7,7 +7,6 @@ from .traversal import (
     bfs_distances,
     reachable_within,
     weakly_connected_components,
-    strongly_connected_components,
     estimate_diameter,
     induced_ball,
 )
@@ -32,13 +31,7 @@ from .statistics import (
     expected_out_degree,
     summarize,
 )
-from .correlated import (
-    SharedFateModel,
-    correlated_mc_search,
-    exact_correlated_reliability,
-)
 from .transforms import (
-    condition_graph,
     map_probabilities,
     scale_probabilities,
     power_probabilities,
@@ -46,8 +39,6 @@ from .transforms import (
     make_undirected,
     weighted_cascade,
 )
-from .condense import Condensation, contract_certain_sccs
-from .interop import from_networkx, to_networkx
 from . import generators, io
 
 __all__ = [
@@ -58,7 +49,6 @@ __all__ = [
     "bfs_distances",
     "reachable_within",
     "weakly_connected_components",
-    "strongly_connected_components",
     "estimate_diameter",
     "induced_ball",
     "most_likely_path",
@@ -78,18 +68,10 @@ __all__ = [
     "expected_num_arcs",
     "expected_out_degree",
     "summarize",
-    "SharedFateModel",
-    "correlated_mc_search",
-    "exact_correlated_reliability",
-    "condition_graph",
     "map_probabilities",
     "scale_probabilities",
     "power_probabilities",
     "threshold_backbone",
     "make_undirected",
     "weighted_cascade",
-    "Condensation",
-    "contract_certain_sccs",
-    "from_networkx",
-    "to_networkx",
 ]

@@ -24,13 +24,12 @@ All transforms return new graphs; inputs are never mutated.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..errors import GraphError
 from .uncertain import UncertainGraph
 
 __all__ = [
-    "condition_graph",
     "map_probabilities",
     "scale_probabilities",
     "power_probabilities",
@@ -41,45 +40,6 @@ __all__ = [
 
 #: Smallest probability a transform will emit (arcs cannot carry 0).
 _MIN_PROBABILITY = 1e-9
-
-
-def condition_graph(
-    graph: UncertainGraph,
-    present: "Sequence[tuple]" = (),
-    absent: "Sequence[tuple]" = (),
-) -> UncertainGraph:
-    """Condition on observed arc states (evidence queries).
-
-    Monitoring scenarios observe some arcs directly — a link is known
-    up or known down — and ask reliability questions *given* that
-    evidence.  Under independence, conditioning simply rewrites the
-    observed arcs: known-present arcs get probability 1, known-absent
-    arcs are deleted, everything else is untouched.  Query the returned
-    graph with any engine to get conditional reliabilities.
-
-    Parameters
-    ----------
-    present / absent:
-        Iterables of ``(u, v)`` arcs observed to exist / not exist.
-        Arcs must be present in the graph; an arc cannot appear in both
-        lists.
-    """
-    present_set = {(u, v) for u, v in present}
-    absent_set = {(u, v) for u, v in absent}
-    overlap = present_set & absent_set
-    if overlap:
-        raise GraphError(
-            f"arcs observed both present and absent: {sorted(overlap)}"
-        )
-    for u, v in present_set | absent_set:
-        if not graph.has_arc(u, v):
-            raise GraphError(f"observed arc ({u}, {v}) is not in the graph")
-    result = UncertainGraph(graph.num_nodes)
-    for u, v, p in graph.arcs():
-        if (u, v) in absent_set:
-            continue
-        result.add_arc(u, v, 1.0 if (u, v) in present_set else p)
-    return result
 
 
 def map_probabilities(

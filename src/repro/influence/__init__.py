@@ -6,7 +6,6 @@ from .spread import (
     DEFAULT_THRESHOLDS,
 )
 from .greedy import GreedyTrace, greedy_influence, greedy_mc, greedy_rqtree
-from .ris import RRSketch, build_rr_sketch, ris_influence_maximization
 
 __all__ = [
     "expected_spread_mc",
@@ -16,7 +15,4 @@ __all__ = [
     "greedy_influence",
     "greedy_mc",
     "greedy_rqtree",
-    "RRSketch",
-    "build_rr_sketch",
-    "ris_influence_maximization",
 ]

@@ -92,7 +92,6 @@ class LiveRQTreeEngine:
         damage_threshold: float = 0.25,
         seed: int = 0,
         strategy: str = "multilevel",
-        branching: int = 2,
         max_imbalance: float = 0.1,
         min_rebuild_size: int = 8,
     ) -> "LiveRQTreeEngine":
@@ -103,7 +102,6 @@ class LiveRQTreeEngine:
                 damage_threshold=damage_threshold,
                 seed=seed,
                 strategy=strategy,
-                branching=branching,
                 max_imbalance=max_imbalance,
                 min_rebuild_size=min_rebuild_size,
             )

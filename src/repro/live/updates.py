@@ -22,6 +22,7 @@ graph, which is what the update-parity suite asserts.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -29,10 +30,28 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..errors import InvalidProbabilityError
 from ..graph.uncertain import UncertainGraph
 
-__all__ = ["ArcUpdate", "UpdateLog", "apply_to_graph", "shard_slices"]
+__all__ = [
+    "ArcUpdate", "UpdateLog", "apply_to_graph", "require_int", "shard_slices",
+]
 
 #: The operations an update may carry.
 _OPS = ("set", "insert", "delete")
+
+
+def require_int(value: object, name: str) -> int:
+    """*value* as an ``int``, or :class:`TypeError` naming *name*.
+
+    For node ids and counts that arrive from outside the program.
+    Integers pass, numpy's included.  Floats, strings and booleans are
+    refused rather than coerced: ``int(0.9)`` or ``int(True)`` would
+    silently name a different node or count.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +73,8 @@ class ArcUpdate:
             raise ValueError(
                 f"unknown update op {self.op!r}; expected one of {_OPS}"
             )
-        object.__setattr__(self, "u", int(self.u))
-        object.__setattr__(self, "v", int(self.v))
+        object.__setattr__(self, "u", require_int(self.u, "u"))
+        object.__setattr__(self, "v", require_int(self.v, "v"))
         if self.op == "delete":
             object.__setattr__(self, "p", None)
             return
@@ -72,6 +91,8 @@ class ArcUpdate:
         if isinstance(obj, ArcUpdate):
             return obj
         if isinstance(obj, dict):
+            if "u" not in obj or "v" not in obj:
+                raise ValueError(f"update {obj!r} needs both 'u' and 'v'")
             return cls(
                 op=obj.get("op", "set"),
                 u=obj["u"],
@@ -79,6 +100,10 @@ class ArcUpdate:
                 p=obj.get("p"),
             )
         if isinstance(obj, (tuple, list)):
+            if len(obj) not in (3, 4):
+                raise ValueError(
+                    f"update {obj!r} needs 3 or 4 fields, got {len(obj)}"
+                )
             if len(obj) == 3 and isinstance(obj[0], str):
                 return cls(op=obj[0], u=obj[1], v=obj[2])
             if len(obj) == 3:

@@ -2,15 +2,9 @@
 
 from .montecarlo import MCSamplingResult, mc_sampling_search, mc_reliability
 from .rht import RHTSearchResult, rht_reliability, rht_reliability_search
-from .estimators import SearchMethod, make_method_suite
 from .variance_reduction import (
     antithetic_reliability,
     stratified_reliability,
-)
-from .variants import (
-    k_terminal_reliability,
-    all_terminal_reliability,
-    exact_k_terminal_reliability,
 )
 
 __all__ = [
@@ -20,11 +14,6 @@ __all__ = [
     "RHTSearchResult",
     "rht_reliability",
     "rht_reliability_search",
-    "SearchMethod",
-    "make_method_suite",
-    "k_terminal_reliability",
-    "all_terminal_reliability",
-    "exact_k_terminal_reliability",
     "antithetic_reliability",
     "stratified_reliability",
 ]

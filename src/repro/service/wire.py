@@ -14,6 +14,7 @@ import random
 from typing import Dict, Optional, Tuple
 
 from ..core.engine import QueryResult
+from ..live.updates import require_int
 from ..resilience.budget import QueryBudget
 
 __all__ = [
@@ -30,6 +31,11 @@ __all__ = [
 #: any other body field is ignored.
 _QUERY_FIELDS = (
     "method", "num_samples", "seed", "multi_source_mode", "max_hops",
+)
+
+#: Count fields that must be JSON integers when present and not null.
+_INTEGER_FIELDS = (
+    "num_samples", "seed", "max_hops", "max_worlds", "max_candidate_nodes",
 )
 
 
@@ -175,7 +181,12 @@ def parse_query_object(
         if not isinstance(body, dict):
             raise ValueError("request body must be a JSON object")
         sources = body["sources"]
+        for node in sources if isinstance(sources, list) else [sources]:
+            require_int(node, "sources")
         eta = float(body["eta"])
+        for field in _INTEGER_FIELDS:
+            if body.get(field) is not None:
+                require_int(body[field], field)
         kwargs = {
             field: body[field] for field in _QUERY_FIELDS if field in body
         }

@@ -12,7 +12,6 @@ import json
 import pytest
 
 from repro import RQTree, RQTreeEngine, UncertainGraph
-from repro.core.worldindex import WorldIndex
 from repro.errors import (
     GraphError,
     IndexCorruptionError,
@@ -125,26 +124,6 @@ class TestCorruptedGraphDocuments:
         path.write_text("0 1 -0.5\n")
         with pytest.raises(InvalidProbabilityError):
             read_edge_list(path)
-
-
-class TestCorruptedWorldIndex:
-    def test_world_arcs_beyond_node_range_detected_at_query(self):
-        g = uncertain_path([0.5])
-        doc = WorldIndex(g, num_worlds=3, seed=0).to_json()
-        doc["num_nodes"] = 1  # arcs now reference node 1 out of range
-        index = WorldIndex.from_json(doc)
-        # Queries validate their inputs against num_nodes.
-        from repro.errors import NodeNotFoundError
-
-        with pytest.raises(NodeNotFoundError):
-            index.query(1, 0.5)
-
-    def test_missing_worlds_key(self):
-        with pytest.raises((GraphError, KeyError)):
-            WorldIndex.from_json(
-                {"format": "repro-world-index", "num_nodes": 2,
-                 "num_worlds": 3, "seed": 0}
-            )
 
 
 class TestDegenerateQueries:

@@ -15,6 +15,8 @@ import socket
 
 import pytest
 
+from repro.core.engine import RQTreeEngine
+from repro.graph.generators import nethept_like
 from repro.service.aio_gateway import AioGateway
 from repro.service.server import ReliabilityService
 
@@ -255,6 +257,95 @@ def test_invalid_parameters_are_400(server):
         assert "error" in json.loads(payload)
     finally:
         conn.close()
+
+
+#: One field of a valid mc query replaced by a value that is not an
+#: integer.  Coercing any of these would answer a different query: a
+#: boolean source names node 1, and a float count used to reach the
+#: sampling kernel and come back as a degraded 200.
+_NON_INTEGER_FIELDS = [
+    pytest.param("sources", [True], id="sources-item-bool"),
+    pytest.param("sources", True, id="sources-bool"),
+    pytest.param("num_samples", 100.0, id="num_samples-float"),
+    pytest.param("num_samples", True, id="num_samples-bool"),
+    pytest.param("seed", True, id="seed-bool"),
+    pytest.param("max_hops", True, id="max_hops-bool"),
+    pytest.param("max_worlds", 2.5, id="max_worlds-float"),
+    pytest.param("max_worlds", True, id="max_worlds-bool"),
+    pytest.param("max_candidate_nodes", 2.5, id="max_candidate_nodes-float"),
+    pytest.param("max_candidate_nodes", True, id="max_candidate_nodes-bool"),
+]
+
+
+def _query_with(field, value):
+    body = {
+        "sources": [3], "eta": 0.5, "method": "mc",
+        "num_samples": 100, "seed": 4,
+    }
+    body[field] = value
+    return body
+
+
+@pytest.mark.parametrize("field, value", _NON_INTEGER_FIELDS)
+def test_non_integer_ids_and_counts_are_400(server, field, value):
+    conn = _connect(server)
+    try:
+        response, payload = _post(conn, "/query", _query_with(field, value))
+        assert response.status == 400
+        assert field in json.loads(payload)["error"]
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("field, value", _NON_INTEGER_FIELDS)
+def test_non_integer_ids_and_counts_are_batch_errors(server, field, value):
+    conn = _connect(server)
+    try:
+        response, payload = _post(conn, "/batch", {"queries": [
+            _query_with(field, value), {"sources": [3], "eta": 0.5},
+        ]})
+        assert response.status == 200
+        bad, good = [json.loads(line)
+                     for line in payload.decode().strip().split("\n")]
+        assert field in bad["error"]
+        assert "nodes" not in bad
+        assert 3 in good["nodes"]
+    finally:
+        conn.close()
+
+
+@pytest.fixture(params=["aio"])
+def live_server():
+    engine = RQTreeEngine.build(nethept_like(n=60, seed=3), seed=1)
+    service = ReliabilityService(engine, workers=1, live=True)
+    with _gateway(service) as srv:
+        yield srv
+
+
+@pytest.mark.parametrize("ops", [
+    pytest.param([{"op": "delete", "u": 0}], id="missing-v"),
+    pytest.param([{"op": "set", "v": 1, "p": 0.5}], id="missing-u"),
+    pytest.param([["delete", 0]], id="short-array"),
+    pytest.param([{"op": "set", "u": 0.9, "v": "1", "p": 0.25}],
+                 id="float-and-string-ids"),
+    pytest.param([{"op": "set", "u": True, "v": 2, "p": 0.25}],
+                 id="bool-id"),
+    pytest.param([{"op": "set", "u": 0, "v": 1, "p": 0.25},
+                  {"op": "delete", "u": 1}], id="bad-op-after-good-one"),
+])
+def test_malformed_updates_are_400_and_apply_nothing(live_server, ops):
+    graph = live_server.service._engine.graph
+    arcs_before = sorted(graph.arcs())
+    conn = _connect(live_server)
+    try:
+        response, payload = _post(conn, "/update", ops)
+        assert response.status == 400
+        assert json.loads(payload)["error"]
+        conn.request("GET", "/healthz")
+        assert json.loads(conn.getresponse().read())["epoch"] == 0
+    finally:
+        conn.close()
+    assert sorted(graph.arcs()) == arcs_before
 
 
 @pytest.mark.parametrize("length", ["-5", "abc"])

@@ -90,3 +90,32 @@ class TestJson:
         assert doc["format"] == "repro-uncertain-graph"
         assert doc["num_nodes"] == 5
         assert len(doc["arcs"]) == 8
+
+
+class TestGzipIO:
+    def test_edge_list_gz_round_trip(self, tmp_path):
+        graph = uncertain_gnp(15, 0.3, seed=2)
+        path = tmp_path / "g.txt.gz"
+        write_edge_list(graph, path)
+        restored = read_edge_list(path)
+        originals = sorted(graph.arcs())
+        round_tripped = sorted(restored.arcs())
+        assert len(round_tripped) == len(originals)
+        for (u1, v1, p1), (u2, v2, p2) in zip(originals, round_tripped):
+            assert (u1, v1) == (u2, v2)
+            assert p2 == pytest.approx(p1, rel=1e-9)
+        # The file really is gzip (magic bytes).
+        assert path.read_bytes()[:2] == b"\x1f\x8b"
+
+    def test_json_gz_round_trip(self, tmp_path):
+        graph = uncertain_gnp(15, 0.3, seed=3)
+        path = tmp_path / "g.json.gz"
+        save_graph_json(graph, path)
+        restored = load_graph_json(path)
+        assert restored.num_arcs == graph.num_arcs
+
+    def test_plain_files_still_work(self, tmp_path):
+        graph = uncertain_gnp(10, 0.3, seed=1)
+        path = tmp_path / "g.txt"
+        write_edge_list(graph, path)
+        assert path.read_text().startswith("%%")

@@ -24,6 +24,7 @@ import signal
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.engine import RQTreeEngine
@@ -129,6 +130,27 @@ class TestArcUpdate:
         from_tuple = ArcUpdate.from_object(("set", 1, 2, 0.5))
         assert from_dict == from_tuple
         assert ArcUpdate.from_object(("delete", 3, 4)).op == "delete"
+
+    def test_ids_must_be_integers(self):
+        # Coercing would rewrite another arc: int(0.9) and int(True)
+        # name nodes 0 and 1.
+        for u, v in ((0.9, 1), (0, "1"), (True, 2), (0, False)):
+            with pytest.raises(TypeError):
+                ArcUpdate("set", u, v, 0.25)
+        # numpy integers from in-process callers still pass.
+        update = ArcUpdate("set", np.int64(3), np.int32(4), 0.25)
+        assert (update.u, update.v) == (3, 4)
+        assert type(update.u) is int and type(update.v) is int
+
+    def test_missing_endpoint_is_a_value_error(self):
+        for obj in (
+            {"op": "delete", "u": 0},
+            {"op": "set", "v": 1, "p": 0.5},
+            ("delete", 0),
+            ("set", 0, 1, 0.5, "extra"),
+        ):
+            with pytest.raises(ValueError):
+                ArcUpdate.from_object(obj)
 
     def test_insert_applies_exactly_like_set(self):
         base = uncertain_gnp(6, 0.3, seed=1)
