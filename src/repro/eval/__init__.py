@@ -9,6 +9,8 @@ from .harness import (
     mean_or_zero,
 )
 from .reporting import format_table, format_series, empirical_cdf
+from .bootstrap import ConfidenceInterval, bootstrap_mean, bootstrap_statistic
+from .comparison import MethodComparison, compare_methods, render_comparison
 
 __all__ = [
     "precision",
@@ -25,4 +27,10 @@ __all__ = [
     "format_table",
     "format_series",
     "empirical_cdf",
+    "ConfidenceInterval",
+    "bootstrap_mean",
+    "bootstrap_statistic",
+    "MethodComparison",
+    "compare_methods",
+    "render_comparison",
 ]

@@ -7,6 +7,7 @@ from .traversal import (
     bfs_distances,
     reachable_within,
     weakly_connected_components,
+    strongly_connected_components,
     estimate_diameter,
     induced_ball,
 )
@@ -39,6 +40,7 @@ from .transforms import (
     make_undirected,
     weighted_cascade,
 )
+from .condense import Condensation, contract_certain_sccs
 from . import generators, io
 
 __all__ = [
@@ -49,6 +51,7 @@ __all__ = [
     "bfs_distances",
     "reachable_within",
     "weakly_connected_components",
+    "strongly_connected_components",
     "estimate_diameter",
     "induced_ball",
     "most_likely_path",
@@ -74,4 +77,6 @@ __all__ = [
     "threshold_backbone",
     "make_undirected",
     "weighted_cascade",
+    "Condensation",
+    "contract_certain_sccs",
 ]

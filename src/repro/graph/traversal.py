@@ -15,7 +15,7 @@ possible world at a time) and :mod:`repro.reliability` (estimators).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .uncertain import UncertainGraph
 
@@ -25,6 +25,7 @@ __all__ = [
     "bfs_distances",
     "reachable_within",
     "weakly_connected_components",
+    "strongly_connected_components",
     "estimate_diameter",
     "induced_ball",
 ]
@@ -139,6 +140,61 @@ def weakly_connected_components(graph: UncertainGraph) -> List[Set[int]]:
                     component.add(v)
                     queue.append(v)
         components.append(component)
+    return components
+
+
+def strongly_connected_components(graph: UncertainGraph) -> List[Set[int]]:
+    """Strongly connected components (iterative Tarjan).
+
+    Implemented without recursion so that deep path graphs do not hit the
+    interpreter recursion limit.
+    """
+    n = graph.num_nodes
+    index_of = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    stack: List[int] = []
+    components: List[Set[int]] = []
+    counter = 0
+
+    for root in range(n):
+        if index_of[root] != -1:
+            continue
+        # Each frame is (node, iterator over successors).
+        work: List[Tuple[int, Iterable[int]]] = [(root, iter(graph.successors(root)))]
+        index_of[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            u, it = work[-1]
+            advanced = False
+            for v in it:
+                if index_of[v] == -1:
+                    index_of[v] = lowlink[v] = counter
+                    counter += 1
+                    stack.append(v)
+                    on_stack[v] = True
+                    work.append((v, iter(graph.successors(v))))
+                    advanced = True
+                    break
+                if on_stack[v]:
+                    lowlink[u] = min(lowlink[u], index_of[v])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[u])
+            if lowlink[u] == index_of[u]:
+                component: Set[int] = set()
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    component.add(w)
+                    if w == u:
+                        break
+                components.append(component)
     return components
 
 

@@ -2,6 +2,7 @@
 
 from .montecarlo import MCSamplingResult, mc_sampling_search, mc_reliability
 from .rht import RHTSearchResult, rht_reliability, rht_reliability_search
+from .estimators import SearchMethod, make_method_suite
 from .variance_reduction import (
     antithetic_reliability,
     stratified_reliability,
@@ -14,6 +15,8 @@ __all__ = [
     "RHTSearchResult",
     "rht_reliability",
     "rht_reliability_search",
+    "SearchMethod",
+    "make_method_suite",
     "antithetic_reliability",
     "stratified_reliability",
 ]

@@ -3,8 +3,8 @@
 The evaluation harness (:mod:`repro.eval`) compares four methods that
 answer the same query with different machinery.  This module adapts them
 to one call signature, ``estimator(graph, sources, eta) -> set``, so the
-harness, the examples, and the benchmark drivers never special-case a
-method.
+method-comparison harness (:mod:`repro.eval.comparison`) never
+special-cases a method.
 """
 
 from __future__ import annotations

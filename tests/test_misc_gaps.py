@@ -8,6 +8,7 @@ from repro import RQTreeEngine, UncertainGraph
 from repro.graph.exact import exact_reliability_search
 from repro.graph.generators import nethept_like, uncertain_gnp, uncertain_path
 from repro.influence.spread import DEFAULT_THRESHOLDS, expected_spread_histogram
+from repro.reliability.estimators import make_method_suite
 
 
 class TestPushRelabelEngineEndToEnd:
@@ -34,6 +35,17 @@ class TestPushRelabelEngineEndToEnd:
             )
             truth = exact_reliability_search(g, [0], 0.4)
             assert engine.query(0, 0.4).nodes <= truth
+
+
+class TestMethodSuiteRHTPath:
+    def test_rht_method_answers(self):
+        graph = nethept_like(n=40, seed=2)
+        engine = RQTreeEngine.build(graph, seed=2)
+        suite = make_method_suite(
+            engine, num_samples=100, rht_budget=16, seed=0, include_rht=True
+        )
+        answer = suite["rht-sampling"](graph, [0], 0.4)
+        assert 0 in answer
 
 
 class TestSpreadHistogramDefaults:

@@ -2,7 +2,8 @@
 
 Companion to ``test_properties.py``: universally-quantified checks for
 the functionality added beyond the paper's core (hop bounds, caching
-transparency, dynamic maintenance, transforms, variance reduction).
+transparency, dynamic maintenance, transforms, condensation, variance
+reduction).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import DynamicRQTreeEngine, RQTreeEngine, UncertainGraph
+from repro.graph.condense import contract_certain_sccs
 from repro.graph.exact import (
     exact_hop_reliability,
     exact_reliability,
@@ -179,6 +181,45 @@ def test_lb_answer_contained_in_exact_answer(g, eta):
     engine = RQTreeEngine.build(g, seed=1)
     truth = exact_reliability_search(g, [0], eta)
     assert engine.query(0, eta).nodes <= truth
+
+
+# ---------------------------------------------------------------------
+# Condensation losslessness
+# ---------------------------------------------------------------------
+@st.composite
+def graphs_with_certain_arcs(draw, max_nodes=5):
+    n = draw(st.integers(min_value=2, max_value=max_nodes))
+    arcs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.sampled_from([0.3, 0.7, 1.0, 1.0]),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    g = UncertainGraph(n)
+    for u, v, p in arcs:
+        if u != v:
+            g.add_arc(u, v, p)
+    return g
+
+
+@COMMON
+@given(graphs_with_certain_arcs())
+def test_condensation_preserves_reliability(g):
+    if g.num_arcs > 12:
+        return
+    condensation = contract_certain_sccs(g)
+    rep = condensation.representative_of
+    for target in range(g.num_nodes):
+        original = exact_reliability(g, [0], target)
+        condensed = exact_reliability(
+            condensation.graph, [rep[0]], rep[target]
+        )
+        assert math.isclose(original, condensed, abs_tol=1e-9)
 
 
 # ---------------------------------------------------------------------

@@ -11,6 +11,7 @@ from repro.errors import (
 )
 from repro.graph.exact import exact_reliability, exact_reliability_search
 from repro.graph.generators import uncertain_gnp, uncertain_path
+from repro.reliability.estimators import make_method_suite
 from repro.reliability.montecarlo import mc_reliability, mc_sampling_search
 from repro.reliability.rht import rht_reliability, rht_reliability_search
 
@@ -124,3 +125,33 @@ class TestRHTSearch:
     def test_invalid_eta(self, fig1_graph):
         with pytest.raises(InvalidThresholdError):
             rht_reliability_search(fig1_graph, 0, 0.0)
+
+
+class TestMethodSuite:
+    def test_suite_keys(self, medium_engine):
+        suite = make_method_suite(medium_engine, num_samples=50, seed=0)
+        assert set(suite) == {"rq-tree-lb", "rq-tree-mc", "mc-sampling"}
+
+    def test_suite_with_rht(self, medium_engine):
+        suite = make_method_suite(medium_engine, include_rht=True)
+        assert "rht-sampling" in suite
+
+    def test_methods_answer_queries(self, medium_engine):
+        suite = make_method_suite(medium_engine, num_samples=50, seed=0)
+        for name, method in suite.items():
+            answer = method(medium_engine.graph, [0], 0.6)
+            assert 0 in answer, name
+
+
+class TestMethodSuiteLbPlus:
+    def test_lb_plus_opt_in(self, medium_engine):
+        suite = make_method_suite(medium_engine, include_lb_plus=True)
+        assert "rq-tree-lb+" in suite
+        answer = suite["rq-tree-lb+"](medium_engine.graph, [0], 0.6)
+        assert 0 in answer
+
+    def test_lb_plus_superset_of_lb(self, medium_engine):
+        suite = make_method_suite(medium_engine, include_lb_plus=True)
+        lb = suite["rq-tree-lb"](medium_engine.graph, [0], 0.5)
+        lb_plus = suite["rq-tree-lb+"](medium_engine.graph, [0], 0.5)
+        assert lb <= lb_plus

@@ -1,4 +1,4 @@
-"""Tests for graph statistics."""
+"""Tests for graph statistics and bootstrap confidence intervals."""
 
 from __future__ import annotations
 
@@ -7,6 +7,11 @@ import statistics as st
 import pytest
 
 from repro import UncertainGraph
+from repro.eval.bootstrap import (
+    ConfidenceInterval,
+    bootstrap_mean,
+    bootstrap_statistic,
+)
 from repro.graph.generators import uncertain_path
 from repro.graph.statistics import (
     degree_histogram,
@@ -91,3 +96,49 @@ class TestSummarize:
     def test_as_rows(self, fig1_graph):
         rows = summarize(fig1_graph).as_rows()
         assert ("nodes", 5) in rows
+
+
+class TestBootstrap:
+    def test_point_estimate_is_sample_mean(self):
+        ci = bootstrap_mean([1.0, 2.0, 3.0], seed=0)
+        assert ci.estimate == pytest.approx(2.0)
+
+    def test_interval_brackets_estimate(self):
+        ci = bootstrap_mean([1.0, 5.0, 2.0, 4.0, 3.0], seed=1)
+        assert ci.low <= ci.estimate <= ci.high
+
+    def test_constant_sample_collapses(self):
+        ci = bootstrap_mean([2.0] * 10, seed=0)
+        assert ci.low == ci.high == 2.0
+        assert ci.width == 0.0
+
+    def test_contains(self):
+        ci = ConfidenceInterval(estimate=2.0, low=1.0, high=3.0, confidence=0.95)
+        assert ci.contains(2.5)
+        assert not ci.contains(4.0)
+
+    def test_deterministic_with_seed(self):
+        values = [1.0, 2.0, 3.0, 4.0, 5.0]
+        a = bootstrap_mean(values, seed=9)
+        b = bootstrap_mean(values, seed=9)
+        assert (a.low, a.high) == (b.low, b.high)
+
+    def test_higher_confidence_widens_interval(self):
+        values = [1.0, 4.0, 2.0, 8.0, 3.0, 7.0, 5.0]
+        narrow = bootstrap_mean(values, confidence=0.5, seed=2)
+        wide = bootstrap_mean(values, confidence=0.99, seed=2)
+        assert wide.width >= narrow.width
+
+    def test_custom_statistic(self):
+        ci = bootstrap_statistic(
+            [1.0, 2.0, 100.0], st.median, seed=0
+        )
+        assert ci.estimate == 2.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            bootstrap_mean([])
+        with pytest.raises(ValueError):
+            bootstrap_mean([1.0], confidence=1.5)
+        with pytest.raises(ValueError):
+            bootstrap_mean([1.0], num_resamples=0)

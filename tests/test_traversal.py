@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import UncertainGraph
-from repro.graph.generators import uncertain_gnp, uncertain_path
+from repro.graph.generators import uncertain_cycle, uncertain_gnp, uncertain_path
 from repro.graph.traversal import (
     bfs_distances,
     bfs_layers,
@@ -13,6 +13,7 @@ from repro.graph.traversal import (
     estimate_diameter,
     induced_ball,
     reachable_within,
+    strongly_connected_components,
     weakly_connected_components,
 )
 
@@ -73,6 +74,36 @@ class TestComponents:
         as_sets = sorted(components, key=len)
         assert as_sets[0] == {4}
         assert as_sets[1] == {0, 1, 2, 3}
+
+    def test_strong_components_of_dag_are_singletons(self, diamond):
+        components = strongly_connected_components(diamond)
+        assert all(len(c) == 1 for c in components)
+        assert len(components) == 5
+
+    def test_strong_components_of_cycle(self):
+        g = uncertain_cycle(6, 0.5)
+        components = strongly_connected_components(g)
+        assert len(components) == 1
+        assert components[0] == set(range(6))
+
+    def test_strong_components_mixed(self):
+        g = UncertainGraph(4)
+        g.add_arc(0, 1, 0.5)
+        g.add_arc(1, 0, 0.5)
+        g.add_arc(1, 2, 0.5)
+        g.add_arc(2, 3, 0.5)
+        components = {frozenset(c) for c in strongly_connected_components(g)}
+        assert components == {
+            frozenset({0, 1}),
+            frozenset({2}),
+            frozenset({3}),
+        }
+
+    def test_deep_path_does_not_recurse(self):
+        # 3000-node path: recursive Tarjan would hit the limit.
+        g = uncertain_path([0.5] * 3000)
+        components = strongly_connected_components(g)
+        assert len(components) == 3001
 
 
 class TestDiameter:

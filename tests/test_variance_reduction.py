@@ -1,4 +1,4 @@
-"""Tests for variance-reduced MC estimators."""
+"""Tests for variance-reduced MC estimators and certain-SCC condensation."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ import pytest
 
 from repro import UncertainGraph
 from repro.errors import EmptySourceSetError, NodeNotFoundError
-from repro.graph.exact import exact_reliability
+from repro.graph.condense import contract_certain_sccs
+from repro.graph.exact import exact_reliability, exact_reliability_search
 from repro.graph.generators import uncertain_gnp, uncertain_path
 from repro.reliability.montecarlo import mc_reliability
 from repro.reliability.variance_reduction import (
@@ -125,3 +126,69 @@ class TestStratified:
             stratified_reliability(
                 fig1_graph, [0], 1, num_strata_arcs=-1
             )
+
+
+class TestCondensation:
+    def test_no_certain_arcs_is_identity(self, fig1_graph):
+        condensation = contract_certain_sccs(fig1_graph)
+        assert condensation.graph.num_nodes == fig1_graph.num_nodes
+        assert condensation.num_contracted == 0
+
+    def test_certain_cycle_contracts(self):
+        g = UncertainGraph(4)
+        g.add_arc(0, 1, 1.0)
+        g.add_arc(1, 0, 1.0)   # certain 2-cycle {0, 1}
+        g.add_arc(1, 2, 0.5)
+        g.add_arc(2, 3, 0.7)
+        condensation = contract_certain_sccs(g)
+        assert condensation.graph.num_nodes == 3
+        assert condensation.num_contracted == 1
+        rep = condensation.representative_of
+        assert rep[0] == rep[1]
+        assert rep[2] != rep[0]
+
+    def test_one_way_certain_arc_does_not_contract(self):
+        g = UncertainGraph(2)
+        g.add_arc(0, 1, 1.0)  # no way back: not strongly connected
+        condensation = contract_certain_sccs(g)
+        assert condensation.graph.num_nodes == 2
+
+    def test_reliability_preserved(self):
+        g = UncertainGraph(5)
+        g.add_arc(0, 1, 1.0)
+        g.add_arc(1, 0, 1.0)
+        g.add_arc(1, 2, 0.6)
+        g.add_arc(2, 3, 0.5)
+        g.add_arc(0, 4, 0.3)
+        condensation = contract_certain_sccs(g)
+        rep = condensation.representative_of
+        for target in range(2, 5):
+            original = exact_reliability(g, [0], target)
+            condensed = exact_reliability(
+                condensation.graph, [rep[0]], rep[target]
+            )
+            assert condensed == pytest.approx(original)
+
+    def test_search_answers_expand_correctly(self):
+        g = UncertainGraph(4)
+        g.add_arc(0, 1, 1.0)
+        g.add_arc(1, 0, 1.0)
+        g.add_arc(1, 2, 0.9)
+        g.add_arc(2, 3, 0.1)
+        condensation = contract_certain_sccs(g)
+        projected = condensation.project_sources([0])
+        answer = exact_reliability_search(
+            condensation.graph, projected, 0.5
+        )
+        expanded = condensation.expand_answer(answer)
+        direct = exact_reliability_search(g, [0], 0.5)
+        assert expanded == direct
+
+    def test_internal_uncertain_arc_disappears(self):
+        g = UncertainGraph(2)
+        g.add_arc(0, 1, 1.0)
+        g.add_arc(1, 0, 1.0)
+        g.add_arc(0, 1, 0.5)  # noisy-ors into the certain arc anyway
+        condensation = contract_certain_sccs(g)
+        assert condensation.graph.num_nodes == 1
+        assert condensation.graph.num_arcs == 0
