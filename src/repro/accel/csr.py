@@ -13,20 +13,22 @@ mutations, :attr:`UncertainGraph.epoch` counts published live-update
 generations): repeated sampling runs against an unchanged graph reuse
 the same arrays, and any ``add_arc`` / ``remove_arc`` / ``add_node`` or
 epoch advance invalidates the cache automatically.  The arrays themselves are marked read-only so a stale
-reference can never be mutated into inconsistency.
+reference can never be mutated into inconsistency.  A live epoch's
+snapshot graph gets its CSR carried from the previous epoch's
+(:func:`carry_snapshot`): only the rows the batch touched are packed.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from ..graph.uncertain import UncertainGraph
 from ..resilience.faultinject import fault_point
 
-__all__ = ["CSRGraph", "csr_snapshot"]
+__all__ = ["CSRGraph", "carry_snapshot", "csr_snapshot"]
 
 
 class CSRGraph:
@@ -83,6 +85,9 @@ class CSRGraph:
         self.rev_indptr, self.rev_indices, self.rev_probs = self._pack(
             graph, graph.predecessors
         )
+        self._add_f32()
+
+    def _add_f32(self) -> None:
         # float32 copies for the MC kernel's bulk coin flips: float32
         # uniforms are ~2x cheaper to draw and the 2^-24 rounding of a
         # probability is far below any Monte-Carlo resolution.
@@ -90,47 +95,6 @@ class CSRGraph:
         self.probs_f32.setflags(write=False)
         self.rev_probs_f32 = self.rev_probs.astype(np.float32)
         self.rev_probs_f32.setflags(write=False)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        arrays: dict,
-        num_nodes: int,
-        num_arcs: int,
-        version: int,
-        epoch: int = 0,
-    ) -> "CSRGraph":
-        """Wrap pre-built CSR arrays (e.g. shared-memory views) without
-        touching a graph object.
-
-        *arrays* maps each array attribute (``indptr`` … ``rev_probs_f32``)
-        to a numpy array; missing ``*_f32`` fields are derived.  The
-        arrays are adopted by reference — zero-copy — and marked
-        read-only, so a shared-memory consumer can never scribble on a
-        segment other processes map.  *version* is the caller's claim
-        about which graph version the arrays snapshot; the shard runtime
-        sets it to the rebuilt graph's version so the snapshot slots
-        straight into the graph's CSR cache.
-        """
-        self = object.__new__(cls)
-        self.num_nodes = num_nodes
-        self.num_arcs = num_arcs
-        self.version = version
-        self.epoch = epoch
-        for field in (
-            "indptr", "indices", "probs",
-            "rev_indptr", "rev_indices", "rev_probs",
-        ):
-            array = arrays[field]
-            array.setflags(write=False)
-            setattr(self, field, array)
-        for field in ("probs_f32", "rev_probs_f32"):
-            array = arrays.get(field)
-            if array is None:
-                array = arrays[field[: -len("_f32")]].astype(np.float32)
-            array.setflags(write=False)
-            setattr(self, field, array)
-        return self
 
     @staticmethod
     def _pack(graph: UncertainGraph, neighbours):
@@ -148,6 +112,69 @@ class CSRGraph:
         for array in (indptr, indices, probs):
             array.setflags(write=False)
         return indptr, indices, probs
+
+    @classmethod
+    def derive(
+        cls,
+        base: "CSRGraph",
+        graph: UncertainGraph,
+        tails: Iterable[int],
+        heads: Iterable[int],
+    ) -> "CSRGraph":
+        """``CSRGraph(graph)``, repacking only the rows that changed.
+
+        *base* must snapshot an earlier copy of *graph* that differs
+        from it only in the successor rows of *tails* and the
+        predecessor rows of *heads* (the contract of
+        :meth:`UncertainGraph.copy_sharing`).  Those rows are packed
+        from *graph*; every other row is copied from *base* in
+        contiguous slices.  The arrays equal a full pack's, so kernels
+        draw the same coins from either.
+        """
+        self = object.__new__(cls)
+        self.num_nodes = graph.num_nodes
+        self.num_arcs = graph.num_arcs
+        self.version = graph.version
+        self.epoch = graph.epoch
+        self.indptr, self.indices, self.probs = self._repack(
+            base.indptr, base.indices, base.probs, graph.successors, tails
+        )
+        self.rev_indptr, self.rev_indices, self.rev_probs = self._repack(
+            base.rev_indptr, base.rev_indices, base.rev_probs,
+            graph.predecessors, heads,
+        )
+        self._add_f32()
+        return self
+
+    @staticmethod
+    def _repack(indptr, indices, probs, neighbours, rows):
+        """What :meth:`_pack` builds, from an older pack in which only
+        *rows* differ."""
+        rows = sorted(set(rows))
+        fresh = [neighbours(u) for u in rows]
+        degrees = np.diff(indptr)
+        degrees[rows] = [len(row) for row in fresh]
+        new_indptr = np.zeros_like(indptr)
+        np.cumsum(degrees, out=new_indptr[1:])
+        index_parts, prob_parts = [], []
+        start = 0
+        for u, row in zip(rows, fresh):
+            stop = indptr[u]
+            index_parts += [
+                indices[start:stop], np.fromiter(row, np.int64, len(row)),
+            ]
+            prob_parts += [
+                probs[start:stop],
+                np.fromiter(row.values(), np.float64, len(row)),
+            ]
+            start = indptr[u + 1]
+        index_parts.append(indices[start:])
+        prob_parts.append(probs[start:])
+        new_indices = np.concatenate(index_parts)
+        new_probs = np.concatenate(prob_parts)
+        for array in (new_indptr, new_indices, new_probs):
+            array.setflags(write=False)
+        return new_indptr, new_indices, new_probs
 
     def out_degrees(self) -> "np.ndarray":
         """Vector of out-degrees (length ``num_nodes``)."""
@@ -211,3 +238,32 @@ def csr_snapshot(graph: UncertainGraph) -> CSRGraph:
             "graph mutated continuously during CSR snapshot build; "
             "serialize mutations against sampling"
         )
+
+
+def carry_snapshot(
+    base: UncertainGraph,
+    graph: UncertainGraph,
+    tails: Iterable[int],
+    heads: Iterable[int],
+) -> None:
+    """Carry *base*'s cached CSR forward onto *graph*.
+
+    *graph* must differ from *base* only in the successor rows of
+    *tails* and the predecessor rows of *heads*
+    (:meth:`UncertainGraph.copy_sharing`).  When *base* holds a current
+    snapshot, *graph*'s is derived from it (:meth:`CSRGraph.derive`)
+    and cached; otherwise nothing is built, and *graph* packs lazily on
+    its first :func:`csr_snapshot`.  ``accel.csr_builds`` counts full
+    packs only, so a carry does not count.
+    """
+    with base._csr_lock:
+        cached: Optional[CSRGraph] = base._csr_cache
+    if (
+        cached is None
+        or cached.version != base.version
+        or cached.epoch != base.epoch
+    ):
+        return
+    derived = CSRGraph.derive(cached, graph, tails, heads)
+    with graph._csr_lock:
+        graph._csr_cache = derived

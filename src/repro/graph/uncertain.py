@@ -326,6 +326,40 @@ class UncertainGraph:
             dup._epoch = self._epoch
         return dup
 
+    def copy_sharing(
+        self,
+        base: "UncertainGraph",
+        tails: Iterable[int],
+        heads: Iterable[int],
+    ) -> "UncertainGraph":
+        """A versioned copy of this graph that shares *base*'s other rows.
+
+        *base* must be an earlier copy of this graph in which only the
+        successor rows of *tails* and the predecessor rows of *heads*
+        have changed since.  Those rows are copied from this graph;
+        every other row of the result is *base*'s own dict.  Shared
+        rows must never be mutated, so this is for read-only snapshots:
+        the live update plane publishes each epoch this way
+        (:mod:`repro.live.epochs`).  Versioning is preserved as by
+        ``copy(preserve_versioning=True)``.
+        """
+        if base.num_nodes != self.num_nodes:
+            raise GraphError(
+                f"base has {base.num_nodes} nodes, this graph "
+                f"{self.num_nodes}"
+            )
+        dup = UncertainGraph()
+        dup._succ = list(base._succ)
+        dup._pred = list(base._pred)
+        for u in tails:
+            dup._succ[u] = dict(self._succ[u])
+        for v in heads:
+            dup._pred[v] = dict(self._pred[v])
+        dup._num_arcs = self._num_arcs
+        dup._version = self._version
+        dup._epoch = self._epoch
+        return dup
+
     def undirected_weights(self) -> Dict[Tuple[int, int], float]:
         """Undirected arc weights ``w(u,v) = -log(1 - p)`` for partitioning.
 

@@ -7,15 +7,17 @@ start.  :mod:`repro.live` adds the write path:
   deletes) admitted under a monotonic **epoch** counter;
 * :class:`EpochStore` — copy-on-write snapshots per epoch with leased,
   refcounted lifetimes, so queries always run against the epoch they
-  were admitted on while updates land on the master graph;
+  were admitted on while updates land on the master graph; each epoch
+  is published as a delta of the last (shared rows, carried CSR);
 * :class:`LiveRQTreeEngine` — a single-process engine pairing
   :class:`~repro.core.maintenance.DynamicRQTreeEngine` (index repair)
   with the epoch store (query isolation);
 * :class:`LiveShardedEngine` — the sharded gateway's write path:
   per-shard update slices streamed to workers (which repair their
-  subtree clusters in place and hot-swap shm attachments), epoch-tagged
-  scatter requests with stale-response demotion, and zero-downtime
-  shard rebalancing through the supervisor's warm-standby machinery.
+  subtree clusters in place), respawn payloads refreshed only under a
+  supervisor, epoch-tagged scatter requests with stale-response
+  demotion, and zero-downtime shard rebalancing through the
+  supervisor's warm-standby machinery.
 
 The parity contract (ROADMAP): after any update stream, answers match a
 cold rebuild bit-for-bit on ``lb``/``lb+``/``exact`` and within

@@ -7,19 +7,27 @@ the master graph) with an :class:`~repro.live.epochs.EpochStore`
 copy-on-write snapshot, and queries always run against the snapshot of
 the epoch they were admitted on.
 
+Both engines publish an epoch as a delta of the last
+(:meth:`EpochStore.publish_delta`): the snapshot shares the previous
+one's adjacency rows except those the batch touched, and a CSR the
+previous epoch had packed is carried forward row by row, so a batch
+costs work in proportion to the rows it touches, not to the graph.
+
 :class:`LiveShardedEngine` extends
 :class:`~repro.shard.engine.ShardedRQTreeEngine` with the same
 contract across the shard boundary:
 
-* ``apply`` admits a batch under the apply lock, mutates the master
-  graph, rebuilds per-shard payloads at the new epoch (fresh shm
-  segments), refreshes the supervisor's respawn recipes, streams each
-  shard its local-id update slice (workers repair their subtree
-  clusters in place and hot-swap shm attachments; the single-threaded
-  worker's ack doubles as the old-epoch drain barrier), and only then
-  publishes the new snapshot — so a query admitted mid-apply still
-  reads its own epoch end to end, with any cross-epoch shard response
-  demoted to candidates and recomputed by gateway refinement;
+* ``apply`` admits a batch under the apply lock (ids outside the graph
+  refuse it before an epoch is minted), mutates the master graph,
+  streams each shard its local-id update slice (workers repair their
+  subtree clusters in place; the single-threaded worker's ack doubles
+  as the old-epoch drain barrier), and only then publishes the new
+  snapshot — so a query admitted mid-apply still reads its own epoch
+  end to end, with any cross-epoch shard response demoted to
+  candidates and recomputed by gateway refinement.  Shard payloads
+  (local graph, CSR, shm segment) are respawn recipes, so they are
+  rebuilt at the new epoch only under a supervisor, before any slice
+  streams;
 * ``rebalance`` builds a complete new shard topology (plan, payloads,
   workers) at the *current* epoch while the old one keeps serving,
   then swaps the routing pair atomically, drains the old clients, and
@@ -28,10 +36,10 @@ contract across the shard boundary:
 LoadWatermarks` against per-shard sizes and queue depths.
 
 Update streaming tolerates shard failure: a dead worker misses its
-slice, but its respawn payload was refreshed *before* streaming, so
-the replacement boots directly onto the new epoch's graph (slices are
-exact-set/delete-absent-no-op, hence idempotent against a worker that
-already carries the batch).
+slice, but under a supervisor its respawn payload was refreshed
+*before* streaming, so the replacement boots directly onto the new
+epoch's graph (slices are exact-set/delete-absent-no-op, hence
+idempotent against a worker that already carries the batch).
 """
 
 from __future__ import annotations
@@ -83,7 +91,7 @@ class LiveRQTreeEngine:
         self.log = log or UpdateLog()
         self._apply_lock = threading.Lock()
         self._closed = False
-        self.store.publish(self.graph.copy(preserve_versioning=True))
+        self.store.publish_delta(self.graph, self.log)
 
     @classmethod
     def build(
@@ -129,7 +137,8 @@ class LiveRQTreeEngine:
         Serialized under the apply lock: the batch is validated and
         logged, applied to the master graph through the maintainer
         (accruing cluster damage, possibly repairing a subtree), and a
-        copy-on-write snapshot of the result is published.  Queries in
+        copy-on-write snapshot of the result is published as a delta
+        of the previous one.  Queries in
         flight keep their admission epoch's snapshot; queries admitted
         after this call see the new epoch.
         """
@@ -138,10 +147,12 @@ class LiveRQTreeEngine:
         registry = self._metrics()
         started = time.perf_counter()
         with self._apply_lock:
-            epoch, updates = self.log.append(ops)
+            epoch, updates = self.log.append(
+                ops, num_nodes=self.graph.num_nodes
+            )
             self._maintainer.apply(updates)
             self.graph.set_epoch(epoch)
-            self.store.publish(self.graph.copy(preserve_versioning=True))
+            self.store.publish_delta(self.graph, self.log)
         registry.counter("live.updates").inc()
         registry.counter("live.ops_applied").inc(len(updates))
         registry.histogram("live.apply_seconds").observe(
@@ -209,10 +220,10 @@ class LiveShardedEngine(ShardedRQTreeEngine):
         self._apply_lock = threading.Lock()
         # Epoch 0: snapshot the pristine graph.  The construction-time
         # shm segments stay engine-owned (self._segments) while their
-        # topology is current; each apply hands the outgoing epoch's
-        # segments to the outgoing snapshot (EpochStore.adopt), whose
-        # drain then unlinks them.
-        self.store.publish(self.graph.copy(preserve_versioning=True))
+        # topology is current; under a supervisor each apply hands the
+        # outgoing payloads' segments to the outgoing snapshot
+        # (EpochStore.adopt), whose drain then unlinks them.
+        self.store.publish_delta(self.graph, self.log)
 
     @classmethod
     def build(cls, graph: UncertainGraph, **kwargs) -> "LiveShardedEngine":
@@ -237,37 +248,42 @@ class LiveShardedEngine(ShardedRQTreeEngine):
     def apply(self, ops: Iterable[object]) -> int:
         """Admit one update batch across the whole serving stack.
 
-        Order matters (see the module docstring): master mutation and
-        payload rebuild happen first, the supervisor's respawn recipes
-        are refreshed *before* any worker hears about the batch (a
-        crash mid-stream then respawns directly onto the new epoch),
-        slices stream to every worker (acks prove the old epoch
-        drained worker-side), and the snapshot publishes last — so no
-        query can be admitted at the new epoch before every worker
-        can answer from it.
+        Order matters (see the module docstring): master mutation
+        happens first; under a supervisor, the respawn payloads are
+        rebuilt and installed *before* any worker hears about the batch
+        (a crash mid-stream then respawns directly onto the new epoch);
+        slices stream to every worker (acks prove the old epoch drained
+        worker-side), and the snapshot publishes last — so no query can
+        be admitted at the new epoch before every worker can answer
+        from it.
         """
         if self._closed:
             raise ShardUnavailableError(-1, "engine is closed")
         registry = self._registry()
         started = time.perf_counter()
         with self._apply_lock:
-            epoch, updates = self.log.append(ops)
+            epoch, updates = self.log.append(
+                ops, num_nodes=self.graph.num_nodes
+            )
             apply_to_graph(self.graph, updates)
             self.graph.set_epoch(epoch)
             plan, clients, supervisor = self._routing()
-            payloads, new_segments = self._build_payloads(plan, epoch)
             if supervisor is not None:
+                payloads, new_segments = self._build_payloads(plan, epoch)
                 for shard_id, payload in enumerate(payloads):
                     supervisor.update_payload(shard_id, payload)
+                # Hand the outgoing payloads' segments to the outgoing
+                # epoch: the old generation's shm lives exactly as long
+                # as queries pinned to it.
+                outgoing = self.store.current_epoch
+                old_segments, self._segments = self._segments, new_segments
+                if old_segments and outgoing is not None:
+                    self.store.adopt(outgoing, old_segments)
             slices, frontier = shard_slices(updates, plan)
             if frontier:
                 registry.counter("live.frontier_ops").inc(len(frontier))
             for shard_id in range(plan.num_shards):
-                spec = {
-                    "ops": slices.get(shard_id, []),
-                    "epoch": epoch,
-                    "shm": payloads[shard_id].get("shm"),
-                }
+                spec = {"ops": slices.get(shard_id, []), "epoch": epoch}
                 client = (
                     supervisor.client(shard_id)
                     if supervisor is not None
@@ -276,22 +292,16 @@ class LiveShardedEngine(ShardedRQTreeEngine):
                 try:
                     client.apply_update(spec)
                 except ShardUnavailableError:
-                    # The worker missed its slice — but its respawn
-                    # payload already carries the new epoch's graph, so
-                    # recovery converges on the same state.
+                    # The worker missed its slice — but under a
+                    # supervisor its respawn payload already carries the
+                    # new epoch's graph, so recovery converges on the
+                    # same state.
                     registry.counter("live.update_stream_failures").inc()
                     if supervisor is not None:
                         supervisor.report_failure(
                             shard_id, "update stream found the worker gone"
                         )
-            # Hand the outgoing topology's segments to the outgoing
-            # epoch, then publish: the old generation's shm lives
-            # exactly as long as queries pinned to it.
-            outgoing = self.store.current_epoch
-            old_segments, self._segments = self._segments, new_segments
-            if old_segments and outgoing is not None:
-                self.store.adopt(outgoing, old_segments)
-            self.store.publish(self.graph.copy(preserve_versioning=True))
+            self.store.publish_delta(self.graph, self.log)
         registry.counter("live.updates").inc()
         registry.counter("live.ops_applied").inc(len(updates))
         registry.histogram("live.apply_seconds").observe(
@@ -300,7 +310,8 @@ class LiveShardedEngine(ShardedRQTreeEngine):
         return epoch
 
     def _build_payloads(self, plan, epoch: int):
-        """Fresh per-shard payloads for the current master graph."""
+        """Fresh per-shard payloads for the current master graph (the
+        supervisor's respawn recipes, and a rebalance's new shards)."""
         payloads: List[Dict[str, object]] = []
         segments: List[str] = []
         for shard_id in range(plan.num_shards):

@@ -8,6 +8,11 @@ published epoch:
 
 * ``publish(graph)`` registers the snapshot under ``graph.epoch`` and
   supersedes every older epoch;
+* ``publish_delta(master, log)`` is how the live engines publish: the
+  new snapshot shares the current one's rows except those the logged
+  batches touched, which it copies from the master, and inherits the
+  current snapshot's CSR repacked row by row — so an epoch costs the
+  rows its batch touched, not a copy and a pack of the whole graph;
 * ``lease()`` hands a query the *current* snapshot and pins it: a
   superseded epoch survives exactly as long as queries admitted on it
   are still running;
@@ -27,7 +32,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..accel.csr import carry_snapshot
 from ..graph.uncertain import UncertainGraph
+from .updates import UpdateLog
 
 __all__ = ["EpochLease", "EpochSnapshot", "EpochStore"]
 
@@ -38,8 +45,9 @@ class EpochSnapshot:
 
     epoch: int
     graph: UncertainGraph
-    #: Shared-memory segment names this epoch published (per-shard CSR
-    #: payload segments); released when the snapshot is freed.
+    #: Shared-memory segment names tied to this epoch (a supervised
+    #: engine's per-shard payload segments); released when the
+    #: snapshot is freed.
     segments: List[str] = field(default_factory=list)
     #: Per-epoch query engine slot (a cheap RQTreeEngine sharing the
     #: maintained tree), built lazily by LiveRQTreeEngine so concurrent
@@ -134,6 +142,37 @@ class EpochStore:
             self._free(old)
         self._metrics().gauge("live.epoch").set(snapshot.epoch)
         return snapshot
+
+    def publish_delta(
+        self, graph: UncertainGraph, log: UpdateLog
+    ) -> EpochSnapshot:
+        """Publish the master *graph*'s new epoch as a delta of the last.
+
+        *log* holds every batch applied to *graph* since the current
+        snapshot was published.  The new snapshot shares every row of
+        the current one except the successor rows of the batches' tails
+        and the predecessor rows of their heads, which it copies from
+        *graph* (:meth:`UncertainGraph.copy_sharing`); published rows
+        are never mutated, and no snapshot row is ever a master dict.
+        If the current snapshot holds a current CSR, the new one is
+        derived from it (:func:`~repro.accel.csr.carry_snapshot`) rather
+        than packed again by the epoch's first sampled query.  With no
+        snapshot to start from (epoch 0), or a gap in the log's retained
+        batches, the snapshot is a full copy.
+        """
+        with self._lock:
+            base = (
+                self._snapshots.get(self._current)
+                if self._current is not None else None
+            )
+        batches = log.since(base.epoch) if base is not None else []
+        if not batches or batches[0][0] != base.epoch + 1:
+            return self.publish(graph.copy(preserve_versioning=True))
+        tails = {update.u for _, batch in batches for update in batch}
+        heads = {update.v for _, batch in batches for update in batch}
+        snapshot = graph.copy_sharing(base.graph, tails, heads)
+        carry_snapshot(base.graph, snapshot, tails, heads)
+        return self.publish(snapshot)
 
     def adopt(self, epoch: int, segments: List[str]) -> bool:
         """Attach segment names to an *existing* snapshot's lifetime.

@@ -27,7 +27,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..errors import InvalidProbabilityError
+from ..errors import InvalidProbabilityError, NodeNotFoundError
 from ..graph.uncertain import UncertainGraph
 
 __all__ = [
@@ -166,10 +166,7 @@ def shard_slices(
     whose cross-shard refinement pass is the one place frontier arcs
     are ever read.
     """
-    local_of: Dict[int, int] = {}
-    for members in plan.shard_nodes:
-        for index, node in enumerate(members):
-            local_of[node] = index
+    local_of = plan.local_of
     slices: Dict[int, List[Tuple[str, int, int, Optional[float]]]] = {
         shard_id: [] for shard_id in range(plan.num_shards)
     }
@@ -218,14 +215,24 @@ class UpdateLog:
         with self._lock:
             return len(self._batches)
 
-    def append(self, ops: Iterable[object]) -> Tuple[int, List[ArcUpdate]]:
-        """Admit one batch; returns ``(epoch, validated_updates)``.
+    def append(
+        self, ops: Iterable[object], num_nodes: int
+    ) -> Tuple[int, List[ArcUpdate]]:
+        """Admit one batch for a graph of *num_nodes* nodes; returns
+        ``(epoch, validated_updates)``.
 
         Validation happens *before* the epoch is assigned, so a batch
         with one malformed update is rejected atomically — no epoch is
-        burned and no partial state escapes.
+        burned and no partial state escapes.  An endpoint outside
+        ``0 .. num_nodes-1`` is malformed too (:class:`NodeNotFoundError`):
+        applying the batch would fail at that op, after the ops before
+        it had changed the graph.
         """
         updates = normalize_updates(ops)
+        for update in updates:
+            for node in (update.u, update.v):
+                if not 0 <= node < num_nodes:
+                    raise NodeNotFoundError(node)
         with self._lock:
             self._latest += 1
             epoch = self._latest

@@ -23,7 +23,7 @@ Endpoints
   "epoch": E, "ops": N}`` when the service is live, 400 otherwise and
   for rejected batches (rejection is atomic: a 400 applied nothing).
   The apply runs on the default executor so a long update stream
-  (payload rebuilds, per-shard slice streaming) never stalls the event
+  (index repairs, per-shard slice streaming) never stalls the event
   loop's queries.
 * ``POST /batch`` — body ``{"queries": [<query body>, ...]}``; every
   query is submitted up front (so they share admission, dedup, and
@@ -66,7 +66,7 @@ import asyncio
 import json
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ReproError
 from .server import ReliabilityService
@@ -90,6 +90,10 @@ _MAX_HEADER_BYTES = 32 * 1024
 
 #: Hard ceiling on a request body (16 MiB covers any sane batch).
 _MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: How long shutdown lets a busy connection finish its request before
+#: cancelling it (kept under ``stop()``'s 10 s wait for the loop).
+_SHUTDOWN_GRACE_SECONDS = 5.0
 
 
 class _HTTPError(Exception):
@@ -145,6 +149,9 @@ class AioGateway:
         self._address: Optional[Tuple[str, int]] = None
         self._connections = 0
         self._stopping = False
+        #: Connection handlers waiting on a read from their client,
+        #: which shutdown cancels at once.
+        self._reading: Set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -190,7 +197,13 @@ class AioGateway:
             self.stop()
 
     def stop(self) -> None:
-        """Stop accepting, close open connections, stop the service."""
+        """Stop accepting, close open connections, stop the service.
+
+        A connection waiting on its client (for a request, or for the
+        rest of a body) is closed at once; one running a request gets
+        ``_SHUTDOWN_GRACE_SECONDS`` to finish it and is then closed.  A
+        connection that arrives meanwhile is refused with a 503.
+        """
         loop = self._loop
         if loop is not None and not loop.is_closed():
             self._stopping = True
@@ -238,8 +251,42 @@ class AioGateway:
         try:
             await self._shutdown_event.wait()
         finally:
-            server.close()
+            await self._close_connections(server)
             await server.wait_closed()
+
+    async def _close_connections(self, server: asyncio.AbstractServer) -> None:
+        """End every connection, then stop listening, while the loop can
+        still close their sockets.
+
+        A handler reading from its client may wait forever, so it is
+        cancelled at once; a busy one finishes its request and sees
+        ``_stopping``.  Until no other task is left on the loop, new
+        connections are still accepted, and refused with a 503.  The
+        listener closes only then, so no connection is caught between
+        its accept and the start of its handler: asyncio (3.11) cannot
+        set up a connection accepted before the close but set up after
+        it, and leaks its socket.  When the grace runs out first, the
+        listener closes and every task left is cancelled, once.
+        """
+        def others():
+            return asyncio.all_tasks() - {asyncio.current_task()}
+
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + _SHUTDOWN_GRACE_SECONDS
+        while running := others():
+            for task in list(self._reading):
+                task.cancel()
+            left = deadline - loop.time()
+            if left <= 0:
+                break
+            await asyncio.wait(
+                running, timeout=left, return_when=asyncio.FIRST_COMPLETED
+            )
+        server.close()
+        for task in others():
+            task.cancel()
+        while running := others():
+            await asyncio.wait(running)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -249,28 +296,38 @@ class AioGateway:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        if self._connections >= self.max_connections or self._stopping:
-            # Over the cap: refuse with an actionable signal instead of
-            # queueing the socket into invisible latency.
-            await self._write_response(
-                writer, 503,
-                {"error": "connection limit reached"},
-                keep_alive=False,
-                # A tripped connection cap is full pressure by
-                # definition; the jitter spreads the reconnect wave.
-                retry_after=retry_after_seconds(1.0),
-            )
-            writer.close()
-            return
-        self._connections += 1
         try:
-            await self._connection_loop(reader, writer)
+            if self._connections >= self.max_connections or self._stopping:
+                # Over the cap: refuse with an actionable signal instead
+                # of queueing the socket into invisible latency.
+                await self._write_response(
+                    writer, 503,
+                    {"error": "connection limit reached"},
+                    keep_alive=False,
+                    # A tripped connection cap is full pressure by
+                    # definition; the jitter spreads the reconnect wave.
+                    retry_after=retry_after_seconds(1.0),
+                )
+                return
+            self._connections += 1
+            try:
+                await self._connection_loop(reader, writer)
+            finally:
+                self._connections -= 1
         except (
             ConnectionError, asyncio.IncompleteReadError, TimeoutError
         ):
             pass  # client went away mid-exchange; nothing to salvage
+        except asyncio.CancelledError:
+            # Shutdown cancels connections it cannot wait for; end those
+            # normally, as the stream protocol before Python 3.13 logs a
+            # cancelled handler (its done callback reads the exception),
+            # and drop any unsent bytes, which a client that stopped
+            # reading would hold in the transport for ever.
+            if not self._stopping:
+                raise
+            writer.transport.abort()
         finally:
-            self._connections -= 1
             writer.close()
             try:
                 await writer.wait_closed()
@@ -284,7 +341,9 @@ class AioGateway:
     ) -> None:
         while not self._stopping:
             try:
-                head = await reader.readuntil(b"\r\n\r\n")
+                head = await self._from_client(
+                    reader.readuntil(b"\r\n\r\n")
+                )
             except asyncio.IncompleteReadError:
                 return  # clean close between requests
             except asyncio.LimitOverrunError:
@@ -316,7 +375,10 @@ class AioGateway:
                 return
             # Drain the body unconditionally (even for a 404) so the
             # next request on this connection starts at a clean byte.
-            body = await reader.readexactly(length) if length else b""
+            body = (
+                await self._from_client(reader.readexactly(length))
+                if length else b""
+            )
             keep_alive = (
                 headers.get("connection", "keep-alive").lower() != "close"
             )
@@ -327,6 +389,16 @@ class AioGateway:
             observe_request(path, status, time.perf_counter() - started)
             if not keep_alive or done:
                 return
+
+    async def _from_client(self, read):
+        """Await *read*, a read from the client, as one shutdown may
+        cancel at once: only the client can end it."""
+        task = asyncio.current_task()
+        self._reading.add(task)
+        try:
+            return await read
+        finally:
+            self._reading.discard(task)
 
     async def _dispatch(
         self,

@@ -45,6 +45,9 @@ class ShardPlan:
         partition ``0 .. n-1``.  A node's *local* id inside its shard is
         its index in this tuple (the relabelling
         :meth:`SubgraphView.materialize` applies).
+    local_of:
+        ``local_of[node]`` is *node*'s local id: its index in
+        ``shard_nodes[shard_of[node]]``.
     frontier_arcs:
         Every arc ``(u, v, p)`` whose endpoints belong to different
         shards.  These are the arcs no per-shard engine sees; the
@@ -59,6 +62,7 @@ class ShardPlan:
     num_shards: int
     shard_of: Tuple[int, ...]
     shard_nodes: Tuple[Tuple[int, ...], ...]
+    local_of: Tuple[int, ...]
     frontier_arcs: Tuple[WeightedArc, ...]
     num_arcs: int
     seed: int
@@ -174,9 +178,11 @@ def build_shard_plan(
     parts.sort(key=lambda part: part[0])
 
     shard_of = [0] * n
+    local_of = [0] * n
     for shard_id, members in enumerate(parts):
-        for node in members:
+        for index, node in enumerate(members):
             shard_of[node] = shard_id
+            local_of[node] = index
 
     frontier: List[WeightedArc] = []
     if shards > 1:
@@ -197,6 +203,7 @@ def build_shard_plan(
         num_shards=shards,
         shard_of=tuple(shard_of),
         shard_nodes=tuple(tuple(part) for part in parts),
+        local_of=tuple(local_of),
         frontier_arcs=tuple(frontier),
         num_arcs=graph.num_arcs,
         seed=seed,

@@ -76,7 +76,7 @@ def build_shard_payload(
             "expected 'pickle' or 'shm'"
         )
     members = plan.shard_nodes[shard_id]
-    local_of = {node: index for index, node in enumerate(members)}
+    local_of = plan.local_of
     member_set = set(members)
     payload: Dict[str, object] = {
         "shard_id": shard_id,
@@ -114,13 +114,9 @@ class ShardRuntime:
 
     def __init__(self, payload: Dict[str, object]) -> None:
         self.shard_id: int = payload["shard_id"]
-        self._segment_name: Optional[str] = None
         self._maintainer = None
         if payload.get("transport", "pickle") == "shm":
-            graph, self._global_ids = self._from_segment(
-                payload["shm"], payload.get("epoch", 0)
-            )
-            self._segment_name = payload["shm"]["name"]
+            graph, self._global_ids = self._from_segment(payload["shm"])
         else:
             self._global_ids = list(payload["global_ids"])
             graph = UncertainGraph(payload["num_nodes"])
@@ -155,18 +151,14 @@ class ShardRuntime:
             )
 
     @staticmethod
-    def _from_segment(meta: Dict[str, object], epoch: int = 0):
+    def _from_segment(meta: Dict[str, object]):
         """Rebuild the local graph from a shared-memory CSR segment.
 
         Arcs are replayed from the forward CSR in row order — the same
         order the pickle transport's arc list was emitted in — so the
         rebuilt adjacency dicts iterate identically and the RQ-tree
-        build is bit-for-bit the same.  The mapped (zero-copy) arrays
-        are then installed as the graph's CSR cache, so any numeric
-        kernel run in this worker reads the segment directly instead of
-        re-packing.
+        build is bit-for-bit the same.
         """
-        from ..accel.csr import CSRGraph
         from . import shm
 
         arrays, global_ids = shm.attach_csr(meta)
@@ -178,13 +170,6 @@ class ShardRuntime:
         for u in range(num_nodes):
             for k in range(indptr[u], indptr[u + 1]):
                 graph.add_arc(u, int(indices[k]), float(probs[k]))
-        graph._csr_cache = CSRGraph.from_arrays(
-            arrays,
-            num_nodes=num_nodes,
-            num_arcs=meta["num_arcs"],
-            version=graph.version,
-            epoch=epoch,
-        )
         return graph, [int(node) for node in global_ids]
 
     @property
@@ -220,18 +205,16 @@ class ShardRuntime:
     def apply_updates(self, spec: Dict[str, object]) -> Dict[str, object]:
         """Apply one epoch's update slice to this shard, in place.
 
-        ``spec`` carries ``ops`` (local-id ``(op, u, v, p)`` tuples),
-        the target ``epoch``, and — on the shm transport — the attach
-        meta of the new epoch's segment (``shm``).  The ops run through
-        a :class:`~repro.core.maintenance.DynamicRQTreeEngine` wrapped
+        ``spec`` carries ``ops`` (local-id ``(op, u, v, p)`` tuples) and
+        the target ``epoch``.  The ops run through a
+        :class:`~repro.core.maintenance.DynamicRQTreeEngine` wrapped
         around the live engine, so damaged subtree clusters are
-        repaired in place rather than rebuilt from scratch.  The CSR
-        cache is then hot-swapped: the new segment's zero-copy arrays
-        replace the old mapping, which is detached so worker address
-        space stays one-segment-per-shard.  The ack (this return value)
-        is the gateway's drain barrier — the worker is single-threaded,
-        so by the time it answers, every sub-query admitted before the
-        update has finished against the old segment.
+        repaired in place rather than rebuilt from scratch.  Sub-queries
+        read the adjacency dicts only (they always run ``lb``), so no
+        CSR is rebuilt here; sampling happens at the gateway.  The ack
+        (this return value) is the gateway's drain barrier — the worker
+        is single-threaded, so by the time it answers, every sub-query
+        admitted before the update has finished against the old graph.
         """
         fault_point("shard.update")
         if self._maintainer is None:
@@ -243,24 +226,6 @@ class ShardRuntime:
         epoch = spec.get("epoch")
         if epoch is not None:
             graph.set_epoch(epoch)
-        meta = spec.get("shm")
-        if meta is not None:
-            from ..accel.csr import CSRGraph
-            from . import shm
-
-            arrays, _ = shm.attach_csr(meta)
-            with graph._csr_lock:
-                graph._csr_cache = CSRGraph.from_arrays(
-                    arrays,
-                    num_nodes=meta["num_nodes"],
-                    num_arcs=meta["num_arcs"],
-                    version=graph.version,
-                    epoch=graph.epoch,
-                )
-            old = self._segment_name
-            self._segment_name = meta["name"]
-            if old is not None and old != meta["name"]:
-                shm.detach(old)
         return {
             "shard_id": self.shard_id,
             "applied": applied,

@@ -70,7 +70,6 @@ from ..accel.csr import CSRGraph
 __all__ = [
     "SegmentRegistry",
     "attach_csr",
-    "detach",
     "detach_all",
     "publish_csr",
     "registry",
@@ -301,27 +300,6 @@ def attach_csr(
         views[field] = view
     global_ids = views.pop("global_ids")
     return views, global_ids
-
-
-def detach(name: str) -> bool:
-    """Close one attached segment (live-update hot swap).
-
-    When a worker swaps to a new epoch's segment, the superseded
-    mapping is closed here so the worker's address space doesn't
-    accumulate one mapping per epoch.  Never unlinks (creator-only),
-    and is a no-op (``False``) for names this process published itself
-    or never attached.  A ``BufferError`` from still-referenced views
-    is swallowed exactly as in :func:`detach_all`.
-    """
-    with _attached_lock:
-        segment = _attached.pop(name, None)
-    if segment is None:
-        return False
-    try:
-        segment.close()
-    except BufferError:  # pragma: no cover - views still referenced
-        pass
-    return True
 
 
 def detach_all() -> None:

@@ -21,15 +21,17 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.accel.csr import CSRGraph, csr_snapshot
 from repro.core.engine import RQTreeEngine
 from repro.core.maintenance import DynamicRQTreeEngine
-from repro.errors import InvalidProbabilityError
+from repro.errors import InvalidProbabilityError, NodeNotFoundError
 from repro.graph.generators import nethept_like, uncertain_gnp
 from repro.live import (
     ArcUpdate,
@@ -94,6 +96,46 @@ def _stream(graph, num_ops, seed=SEED):
             u, v = rng.choice(sorted(mirror))
             ops.append(("delete", u, v))
             del mirror[(u, v)]
+    return ops
+
+
+def _delta_stream(graph, num_ops, seed=SEED):
+    """A seeded stream with every op a delta publish must carry: sets
+    of existing arcs, ``insert`` of new ones, deletes, deletes of
+    missing arcs (no-ops) and re-inserts of deleted arcs."""
+    import random
+
+    rng = random.Random(seed)
+    mirror = {(u, v): p for u, v, p in graph.arcs()}
+    deleted = []
+    n = graph.num_nodes
+    ops = []
+    while len(ops) < num_ops:
+        roll = rng.random()
+        p = round(rng.uniform(0.2, 0.95), 3)
+        u, v = rng.randrange(n), rng.randrange(n)
+        if roll < 0.3 and mirror:
+            u, v = rng.choice(sorted(mirror))
+            ops.append(("set", u, v, p))
+        elif roll < 0.5 and u != v and (u, v) not in mirror:
+            ops.append(("insert", u, v, p))
+        elif roll < 0.7 and mirror:
+            u, v = rng.choice(sorted(mirror))
+            ops.append(("delete", u, v))
+            del mirror[(u, v)]
+            deleted.append((u, v))
+            continue
+        elif roll < 0.8 and (u, v) not in mirror:
+            ops.append(("delete", u, v))
+            continue
+        elif roll >= 0.8 and deleted:
+            u, v = deleted.pop(rng.randrange(len(deleted)))
+            if (u, v) in mirror:
+                continue
+            ops.append(("insert", u, v, p))
+        else:
+            continue
+        mirror[(u, v)] = p
     return ops
 
 
@@ -164,25 +206,25 @@ class TestUpdateLog:
     def test_epochs_are_monotonic_from_one(self):
         log = UpdateLog()
         assert log.latest_epoch == 0
-        epoch1, _ = log.append([("set", 0, 1, 0.5)])
-        epoch2, _ = log.append([("delete", 0, 1)])
+        epoch1, _ = log.append([("set", 0, 1, 0.5)], num_nodes=4)
+        epoch2, _ = log.append([("delete", 0, 1)], num_nodes=4)
         assert (epoch1, epoch2) == (1, 2)
         assert log.latest_epoch == 2
 
     def test_rejection_is_atomic_and_pre_epoch(self):
         log = UpdateLog()
-        log.append([("set", 0, 1, 0.5)])
+        log.append([("set", 0, 1, 0.5)], num_nodes=4)
         with pytest.raises(ValueError):
-            log.append([("set", 1, 2, 0.9), ("set", 2, 3, 7.0)])
+            log.append([("set", 1, 2, 0.9), ("set", 2, 3, 7.0)], num_nodes=4)
         # The bad batch consumed no epoch and left no trace.
         assert log.latest_epoch == 1
         assert len(log) == 1
 
     def test_since_returns_later_batches(self):
         log = UpdateLog()
-        log.append([("set", 0, 1, 0.5)])
-        log.append([("set", 1, 2, 0.5)])
-        log.append([("delete", 0, 1)])
+        log.append([("set", 0, 1, 0.5)], num_nodes=4)
+        log.append([("set", 1, 2, 0.5)], num_nodes=4)
+        log.append([("delete", 0, 1)], num_nodes=4)
         assert [epoch for epoch, _ in log.since(1)] == [2, 3]
 
 
@@ -342,6 +384,181 @@ class TestLiveSingleEngine:
 
 
 # ----------------------------------------------------------------------
+# Both live engines: refused batches and epoch deltas
+# ----------------------------------------------------------------------
+def _live_engine(kind, graph):
+    if kind == "single":
+        return LiveRQTreeEngine.build(graph, seed=3)
+    return LiveShardedEngine.build(
+        graph, shards=int(kind[-1]), seed=7, mode="inline",
+        transport="pickle", mc_refine_floor=0.0,
+    )
+
+
+def _rows(graph):
+    return [
+        (list(graph.successors(u).items()),
+         list(graph.predecessors(u).items()))
+        for u in graph.nodes()
+    ]
+
+
+_CSR_ARRAYS = (
+    "indptr", "indices", "probs", "probs_f32",
+    "rev_indptr", "rev_indices", "rev_probs", "rev_probs_f32",
+)
+
+
+def _assert_same_csr(got, want):
+    for name in _CSR_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+    assert (got.num_nodes, got.num_arcs, got.version, got.epoch) == (
+        want.num_nodes, want.num_arcs, want.version, want.epoch
+    )
+
+
+@pytest.mark.parametrize("kind", ["single", "sharded-2"])
+def test_batch_naming_a_missing_node_applies_nothing(kind):
+    """An id outside ``0 .. n-1`` refuses the whole batch at admission.
+
+    Before, the epoch was minted and the ops ahead of the bad one
+    changed the master; the next batch then published them, though the
+    shard owning the arc never received them, and ``lb`` confirmed a
+    node whose best path on the served graph was below eta.
+    """
+    graph = uncertain_gnp(60, 0.08, seed=5)
+    with _live_engine(kind, graph) as live:
+        arcs = list(graph.arcs())
+        if kind != "single":  # an arc one shard owns
+            owner = live.plan.owner
+            arcs = [arc for arc in arcs if owner(arc[0]) == owner(arc[1])]
+        u, v, _ = max(arcs, key=lambda arc: arc[2])
+        before = sorted(live.graph.arcs())
+        for bad in (10**6, 60, -1):
+            with pytest.raises(NodeNotFoundError):
+                live.apply([("set", u, v, 0.01), ("set", 0, bad, 0.5)])
+        assert sorted(live.graph.arcs()) == before
+        assert live.log.latest_epoch == 0 and len(live.log) == 0
+        assert live.epoch == 0 and live.store.current_epoch == 0
+        batch = [("set", 1, 2, 0.5)]
+        assert live.apply(batch) == 1
+        mirror = graph.copy()
+        apply_to_graph(mirror, batch)
+        got = live.query([u], 0.5, method="lb")
+        assert got.epoch == 1
+        assert got.nodes == _lb_answer(mirror, [u], 0.5)
+
+
+class TestEpochDeltas:
+    """Each epoch is published as a delta of the last: rows shared with
+    the previous snapshot, the changed ones copied from the master, and
+    the CSR carried forward rather than packed again."""
+
+    @pytest.mark.parametrize("kind", ["single", "sharded-1", "sharded-2"])
+    def test_every_epoch_matches_the_master_and_a_cold_rebuild(
+        self, kind, fresh_registry
+    ):
+        graph = uncertain_gnp(50, 0.1, seed=4)
+        ops = _delta_stream(graph.copy(), 500)
+        assert {op[0] for op in ops} == {"set", "insert", "delete"}
+        mirror = graph.copy()
+        builds = fresh_registry.counter("accel.csr_builds")
+        sources, eta, query = [0, 7], 0.4, {
+            "method": "mc", "num_samples": 300, "seed": 17,
+        }
+        with _live_engine(kind, graph) as live:
+            live.query(sources, eta, **query)  # packs epoch 0's CSR
+            for epoch, batch in enumerate(_batches(ops, 20), start=1):
+                old = live.store.lease()
+                old_rows = _rows(old.graph)
+                old_csr = csr_snapshot(old.graph)
+                live.apply(batch)
+                apply_to_graph(mirror, batch)
+                packed = builds.value
+                with live.store.lease() as lease:
+                    assert lease.epoch == epoch
+                    snapshot, master = lease.graph, live.graph
+                    assert _rows(snapshot) == _rows(master)
+                    for u in master.nodes():
+                        assert snapshot.successors(u) is not (
+                            master.successors(u)
+                        )
+                        assert snapshot.predecessors(u) is not (
+                            master.predecessors(u)
+                        )
+                    _assert_same_csr(
+                        csr_snapshot(snapshot), CSRGraph(snapshot)
+                    )
+                    got = live.query(sources, eta, **query)
+                assert builds.value == packed, "the CSR was packed again"
+                assert got.epoch == epoch
+                want = RQTreeEngine.build(mirror, seed=3).query(
+                    sources, eta, **query
+                )
+                assert got.nodes == want.nodes
+                # The superseded snapshot still reads its own epoch.
+                assert _rows(old.graph) == old_rows
+                assert csr_snapshot(old.graph) is old_csr
+                old.release()
+
+    @pytest.mark.parametrize("kind", ["single", "sharded-2"])
+    def test_racing_readers_answer_from_their_own_epoch(self, kind):
+        """Six ``mc`` readers race the delta publishes with a shortened
+        switch interval: every answer equals the cold rebuild's at the
+        epoch it reports, so no reader saw a torn row or CSR."""
+        graph = uncertain_gnp(40, 0.12, seed=6)
+        batches = _batches(_delta_stream(graph.copy(), 160), 20)
+        sources, eta, query = [1], 0.45, {
+            "method": "mc", "num_samples": 200, "seed": 5,
+        }
+        mirror = graph.copy()
+        reference = {}
+        for epoch, batch in enumerate([[]] + batches):
+            apply_to_graph(mirror, batch)
+            reference[epoch] = RQTreeEngine.build(mirror, seed=3).query(
+                sources, eta, **query
+            ).nodes
+        failures, observations = [], []
+        stop = threading.Event()
+
+        def read(live):
+            while not stop.is_set():
+                try:
+                    result = live.query(sources, eta, **query)
+                    observations.append((result.epoch, result.nodes))
+                except Exception as error:  # noqa: BLE001
+                    failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _live_engine(kind, graph) as live:
+                threads = [
+                    threading.Thread(target=read, args=(live,))
+                    for _ in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                try:
+                    for batch in batches:
+                        live.apply(batch)
+                        time.sleep(0.01)
+                finally:
+                    stop.set()
+                    for thread in threads:
+                        thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures[:3]
+        assert len({epoch for epoch, _ in observations}) > 1
+        for epoch, nodes in observations:
+            assert nodes == reference[epoch], f"epoch {epoch} diverged"
+
+
+# ----------------------------------------------------------------------
 # Sharded live path: the acceptance criterion
 # ----------------------------------------------------------------------
 class TestLiveShardedParity:
@@ -401,25 +618,30 @@ class TestLiveShardedParity:
             want = cold.query([1], 0.45, method="exact")
             assert got.nodes == want.nodes
 
-    def test_mc_respects_sampling_bounds_after_stream(self):
+    def test_mc_respects_sampling_bounds_after_stream(self, fresh_registry):
         graph = uncertain_gnp(40, 0.12, seed=6)
         ops = _stream(graph.copy(), 60)
         mirror = graph.copy()
+        builds = fresh_registry.counter("accel.csr_builds")
         with LiveShardedEngine.build(
             graph, shards=2, seed=7, mode="inline", transport="pickle",
             mc_refine_floor=0.0,
         ) as live:
+            live.query([1], 0.45, method="mc", num_samples=600, seed=17)
             for batch in _batches(ops, 20):
                 live.apply(batch)
-            apply_to_graph(mirror, ops)
-            got = live.query([1], 0.45, method="mc", num_samples=600,
-                             seed=17)
-            want = RQTreeEngine.build(mirror, seed=3).query(
-                [1], 0.45, method="mc", num_samples=600, seed=17
-            )
-            # At floor 0 the refinement pool is the whole graph, so the
-            # same seeded worlds give the identical answer.
-            assert got.nodes == want.nodes
+                apply_to_graph(mirror, batch)
+                packed = builds.value
+                got = live.query([1], 0.45, method="mc", num_samples=600,
+                                 seed=17)
+                # Every epoch samples the CSR carried from the last.
+                assert builds.value == packed
+                want = RQTreeEngine.build(mirror, seed=3).query(
+                    [1], 0.45, method="mc", num_samples=600, seed=17
+                )
+                # At floor 0 the refinement pool is the whole graph, so
+                # the same seeded worlds give the identical answer.
+                assert got.nodes == want.nodes
 
 
 # ----------------------------------------------------------------------
@@ -536,11 +758,17 @@ class TestProcessShmEpochs:
         graph = uncertain_gnp(80, 0.07, seed=10)
         ops = _stream(graph.copy(), 90)
         mirror = graph.copy()
+        builds = fresh_registry.counter("accel.csr_builds")
         with LiveShardedEngine.build(
             graph, shards=2, seed=7, mode="process", transport="shm",
         ) as live:
+            # Unsupervised, an apply builds no shard payload: no new
+            # segment and no CSR pack, whatever the transport.
+            segments, packed = _csr_segments(), builds.value
             for batch in _batches(ops, 30):  # epochs 1..3
                 live.apply(batch)
+                assert _csr_segments() == segments
+                assert builds.value == packed
                 apply_to_graph(mirror, batch)
                 got = live.query([0, 5], 0.4, method="lb")
                 assert not got.degraded
