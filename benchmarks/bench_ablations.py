@@ -11,7 +11,10 @@ decision of the reproduction:
 * **multi-source strategy**: greedy heuristic vs exact Pareto DP —
   the DP's candidate sets are never larger, the heuristic is cheaper;
 * **cheap-bound short-circuit**: Theorem-5 early accept on vs off —
-  identical answers, fewer max-flow solves.
+  identical answers, fewer max-flow solves;
+* **flow witness**: rejecting a cluster on a feasible flow of value
+  ``≥ -log(1 - η)`` instead of solving Algorithm 1 — identical walks,
+  Algorithm 1 only where the walk stops.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from repro.core.candidates import (
     multi_source_candidates_greedy,
     single_source_candidates,
 )
-from repro.core.outreach import outreach_upper_bound
+from repro.core.outreach import outreach_upper_bound, outreach_witness
 from repro.eval.reporting import format_table
 from repro.eval.workload import multi_source_workload, single_source_workload
 
@@ -186,3 +189,66 @@ def test_ablation_cheap_bound(dataset, benchmark):
         ),
     )
     assert 0 <= skipped <= total
+
+
+def test_ablation_witness(dataset, benchmark):
+    graph = dataset
+    engine = RQTreeEngine.build(graph, seed=9)
+    sources = single_source_workload(graph, 10, seed=4)
+
+    def run():
+        evaluations = 0
+        certified = 0
+        solves_without = 0
+        solves_with = 0
+        witness_seconds = 0.0
+        flow_seconds = 0.0
+        for s in sources:
+            for cluster in engine.tree.path_to_root(s):
+                evaluations += 1
+                start = time.perf_counter()
+                lower = outreach_witness(graph, s, cluster.members, ETA)
+                middle = time.perf_counter()
+                result = outreach_upper_bound(
+                    graph, [s], cluster.members, cheap_accept_below=ETA
+                )
+                end = time.perf_counter()
+                solves_without += result.used_flow
+                if lower is not None:
+                    # Algorithm 1 rejects every certified cluster, with
+                    # a bound no smaller than the certified one.
+                    assert ETA <= lower <= result.upper_bound
+                    certified += 1
+                    witness_seconds += middle - start
+                    flow_seconds += end - middle
+                    continue
+                if result.upper_bound < ETA:
+                    break
+            walk = single_source_candidates(graph, engine.tree, s, ETA)
+            solves_with += walk.flow_calls
+        return (evaluations, certified, solves_without, solves_with,
+                witness_seconds, flow_seconds)
+
+    (evaluations, certified, solves_without, solves_with,
+     witness_seconds, flow_seconds) = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
+    write_result(
+        "ablation_witness",
+        format_table(
+            ["metric", "value"],
+            [
+                ("cluster evaluations", evaluations),
+                ("rejections certified by the witness", certified),
+                ("Algorithm-1 solves without the witness", solves_without),
+                ("Algorithm-1 solves with the witness", solves_with),
+                ("Algorithm-1 solves avoided", solves_without - solves_with),
+                ("witness time on certified clusters (s)", witness_seconds),
+                ("Algorithm-1 time on the same clusters (s)", flow_seconds),
+            ],
+            title=f"Ablation: flow-witness rejection (dblp5-like n={N}, "
+            f"eta={ETA})",
+        ),
+    )
+    # Every certified cluster is a solve the walk no longer needs.
+    assert solves_without - solves_with == certified

@@ -40,6 +40,7 @@ REPORT_ORDER = [
     ("Ablation — flow engine", "ablation_flow_engine"),
     ("Ablation — multi-source strategy", "ablation_multisource"),
     ("Ablation — Theorem-5 early accept", "ablation_cheap_bound"),
+    ("Ablation — flow-witness rejection", "ablation_witness"),
     ("Extension — branching factor", "extension_branching"),
     ("Extension — incremental maintenance", "extension_maintenance"),
     ("Monte-Carlo estimator comparison (after Fishman [13])",

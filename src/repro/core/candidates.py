@@ -8,7 +8,9 @@ as the index's ``U_out`` bounds allow.
 Three strategies are provided:
 
 * :func:`single_source_candidates` — the bottom-up leaf-to-root walk of
-  Section 4.2, stopping at the first cluster with ``U_out({s}, C) < η``;
+  Section 4.2, stopping at the first cluster with ``U_out({s}, C) < η``
+  (a flow witness rejects the clusters it climbs past, so Algorithm 1
+  runs only where the walk stops);
 * :func:`multi_source_candidates_greedy` — the round-robin multi-cursor
   heuristic of Section 4.3;
 * :func:`multi_source_candidates_exact` — the exact optimum of
@@ -34,6 +36,7 @@ from .outreach import (
     OutreachComputation,
     combine_upper_bounds,
     outreach_upper_bound,
+    outreach_witness,
 )
 from .rqtree import ClusterNode, RQTree
 
@@ -60,8 +63,11 @@ class TraversalStep:
     ``bound`` is the upper bound that was compared against the stopping
     threshold; ``via`` records how it was obtained (``"cache"``,
     ``"cheap"`` for the inline Theorem-5 scan, ``"flow"`` for a full
-    Algorithm-1 max-flow); ``accepted`` marks the cluster that ended
-    the traversal (or, multi-source, a cursor's final cluster).
+    Algorithm-1 max-flow).  A ``"witness"`` step is a rejection that
+    :func:`~repro.core.outreach.outreach_witness` certified: its
+    ``bound`` is a *lower* bound on ``U_out`` that already reaches
+    ``η``.  ``accepted`` marks the cluster that ended the traversal (or,
+    multi-source, a cursor's final cluster).
     """
 
     cluster_index: int
@@ -85,13 +91,16 @@ class CandidateResult:
         Number of tree clusters whose ``U_out`` was evaluated — the
         numerator of the paper's *height ratio* metric (Section 7.4).
     flow_calls:
-        Number of max-flow computations performed.
+        Number of max-flow computations performed (flow-witness
+        rejections solve none and are not counted).
     final_upper_bound:
         The (combined) ``U_out`` value that allowed the traversal to
         stop (``< η``).
     max_subgraph_nodes / max_subgraph_arcs:
         Largest boundary subgraph any flow ran on — the empirical
-        ``ñ`` / ``m̃`` of Table 1.
+        ``ñ`` / ``m̃`` of Table 1.  Witness steps build no subgraph and
+        add nothing; a walk's clusters are nested, so when Algorithm 1
+        accepts, its subgraph is still the largest of the walk.
     selected_clusters:
         The tree indices of the clusters whose union is the candidate
         set (one for single-source queries).
@@ -122,9 +131,10 @@ class CandidateResult:
         ]
         for step in self.trace:
             marker = " <-- accepted" if step.accepted else ""
+            relation = ">=" if step.via == "witness" else "<="
             lines.append(
                 f"  depth {step.depth:>3}  |C| = {step.cluster_size:>7}  "
-                f"U_out <= {step.bound:.4f}  [{step.via}]{marker}"
+                f"U_out {relation} {step.bound:.4f}  [{step.via}]{marker}"
             )
         return "\n".join(lines)
 
@@ -175,6 +185,15 @@ def single_source_candidates(
     whose bound drops below ``eta``.  The root always qualifies
     (``U_out(S, N) = 0``), so the walk terminates.
 
+    Per cluster, a cached Theorem-5 bound below ``eta`` accepts first;
+    otherwise :func:`~repro.core.outreach.outreach_witness` tries to
+    prove ``U_out ≥ eta`` with a feasible flow, and the walk climbs on
+    when it does.  Algorithm 1 runs only where the witness finds no
+    more augmenting paths — in practice the cluster that stops the
+    walk.  Algorithm 1 rejects every certified cluster too, so the
+    candidates, the selected cluster and the final bound are those of a
+    walk that runs Algorithm 1 everywhere.
+
     With a *budget* whose deadline expires mid-walk, the traversal
     degrades to the root cluster (see :func:`_root_fallback`) instead of
     finishing the climb.
@@ -215,12 +234,19 @@ def single_source_candidates(
                     selected_clusters=[cluster.index],
                     trace=trace,
                 )
+        certified = outreach_witness(graph, source, cluster.members, eta)
+        if certified is not None:
+            trace.append(TraversalStep(
+                cluster.index, cluster.size, cluster.depth,
+                certified, "witness",
+            ))
+            continue
         computation = outreach_upper_bound(
             graph,
             [source],
             cluster.members,
             engine=engine,
-            cheap_accept_below=eta,
+            cheap_accept_below=eta if bounds_cache is None else None,
         )
         if computation.used_flow:
             flow_calls += 1
@@ -316,7 +342,9 @@ def multi_source_candidates_greedy(
             sorted(members_sources),
             cluster.members,
             engine=engine,
-            cheap_accept_below=1.0 - (1.0 - eta) ** 0.5,
+            cheap_accept_below=(
+                per_cursor_accept if bounds_cache is None else None
+            ),
         )
         if computation.used_flow:
             flow_calls += 1
@@ -582,4 +610,7 @@ def _record_candidate_metrics(result: CandidateResult) -> None:
     registry.counter("candidates.flow_calls").inc(result.flow_calls)
     registry.counter("candidates.clusters_visited").inc(
         result.clusters_visited
+    )
+    registry.counter("candidates.witness_rejections").inc(
+        sum(1 for step in result.trace if step.via == "witness")
     )

@@ -15,9 +15,12 @@ one-hop outside boundary ``C̄'``, which is what makes candidate
 generation fast (the ``ñ, m̃ ≪ n, m`` of Table 1).
 
 This module also provides the *general* upper bound of Theorem 5
-(:func:`general_outreach_upper_bound`) used by the index builder, and the
+(:func:`general_outreach_upper_bound`) used by the index builder, the
 Lemma 1 combination rule (:func:`combine_upper_bounds`) used by
-multi-source candidate generation.
+multi-source candidate generation, and a flow *witness*
+(:func:`outreach_witness`) that proves ``U_out ≥ η`` without solving
+Algorithm 1, which is all the single-source walk needs from a cluster
+it climbs past.
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import EmptySourceSetError, NodeNotFoundError
 from ..flow.mincut import multi_terminal_max_flow
+from ..flow.network import EPSILON
 from ..graph.uncertain import UncertainGraph
 
 __all__ = [
     "OutreachComputation",
     "capacity_of",
     "outreach_upper_bound",
+    "outreach_witness",
     "general_outreach_upper_bound",
     "combine_upper_bounds",
 ]
@@ -111,7 +116,11 @@ def outreach_upper_bound(
         up below this value the max-flow solve is skipped and the cheap
         bound returned.  Any upper bound below ``η`` certifies the
         cluster (Observation 1), so candidate generation stays sound —
-        only the *reported* bound is looser.
+        only the *reported* bound is looser.  Candidate generation
+        passes it only when it has no
+        :class:`~repro.core.bounds_cache.ClusterBoundsCache`: a
+        cache that already returned ``Ū_out(C) ≥ η`` computed the same
+        sum the same way, so the early accept could not fire.
 
     Notes
     -----
@@ -183,6 +192,78 @@ def outreach_upper_bound(
         subgraph_nodes=len(involved),
         subgraph_arcs=len(arcs),
     )
+
+
+def outreach_witness(
+    graph: UncertainGraph,
+    source: int,
+    cluster: "Set[int] | frozenset",
+    eta: float,
+) -> Optional[float]:
+    """Certify ``U_out({source}, C) ≥ eta`` with a feasible flow, if cheaply.
+
+    Each round is a breadth-first search from *source* over forward
+    residual arcs read straight from the adjacency dicts: it expands
+    only nodes inside *cluster*, follows an arc only while its capacity
+    minus the flow already pushed on it exceeds the flow subsystem's
+    ``EPSILON`` (Algorithm 1's network drops arcs at ``EPSILON`` the
+    same way), stops at the first node outside *cluster* and pushes
+    the path's bottleneck.  The pushed flow ``f`` certifies the lower bound
+    ``1 - exp(-f)``, returned as soon as it reaches *eta* (``1.0`` for
+    an exit path of ``p = 1`` arcs).  Returns ``None`` when a search
+    finds no way out; only then does the caller need Algorithm 1.
+
+    Soundness: a flow that never uses a reverse arc is still a feasible
+    ``s → C̄'`` flow in the network Algorithm 1 solves (arcs with tail
+    in ``C``, the same capacities), so ``f ≤ f*`` and ``1 - exp(-f) ≤
+    U_out``.  Algorithm 1 rejects a cluster when
+    ``_inflate(1 - exp(-f*)) ≥ eta``, and ``_inflate`` adds at least
+    ``1e-9·eta``, far above the round-off between two float sums of the
+    same flow; so Algorithm 1 rejects every cluster certified here, and
+    no inflation is applied on this side.
+    """
+    if source not in cluster:
+        raise ValueError(f"source {source} must lie inside the cluster")
+    successors = graph.successors
+    pushed: Dict[Tuple[int, int], float] = {}
+    flow = 0.0
+    while True:
+        # parent[v] = (u, residual capacity of the arc (u, v)).
+        parent: Dict[int, Tuple[int, float]] = {source: (source, math.inf)}
+        frontier = [source]
+        exit_node = None
+        for u in frontier:
+            for v, p in successors(u).items():
+                if v in parent:
+                    continue
+                residual = capacity_of(p) - pushed.get((u, v), 0.0)
+                if residual <= EPSILON:
+                    continue
+                parent[v] = (u, residual)
+                if v not in cluster:
+                    exit_node = v
+                    break
+                frontier.append(v)
+            if exit_node is not None:
+                break
+        if exit_node is None:
+            return None
+        path = []
+        bottleneck = math.inf
+        v = exit_node
+        while v != source:
+            u, residual = parent[v]
+            path.append((u, v))
+            bottleneck = min(bottleneck, residual)
+            v = u
+        if math.isinf(bottleneck):
+            return 1.0
+        for arc in path:
+            pushed[arc] = pushed.get(arc, 0.0) + bottleneck
+        flow += bottleneck
+        lower = 1.0 - math.exp(-flow)
+        if lower >= eta:
+            return lower
 
 
 def general_outreach_upper_bound(

@@ -2,22 +2,32 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import RQTreeEngine, build_rqtree
+from repro.core.bounds_cache import ClusterBoundsCache
 from repro.core.candidates import (
     generate_candidates,
     multi_source_candidates_exact,
     multi_source_candidates_greedy,
     single_source_candidates,
 )
+from repro.core.maintenance import DynamicRQTreeEngine
+from repro.core.outreach import outreach_upper_bound
 from repro.errors import (
     EmptySourceSetError,
     InvalidThresholdError,
     NodeNotFoundError,
 )
 from repro.graph.exact import exact_reliability_search
-from repro.graph.generators import uncertain_gnp, uncertain_path
+from repro.graph.generators import (
+    biomine_like,
+    nethept_like,
+    uncertain_gnp,
+    uncertain_path,
+)
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +99,96 @@ class TestSingleSource:
             single_source_candidates(
                 medium_graph, medium_engine.tree, 10**6, 0.5
             )
+
+
+def _algorithm_1_walk(graph, tree, source, eta, bounds_cache=None):
+    """The Section 4.2 walk with Algorithm 1 on every cluster it visits.
+
+    Returns ``(candidates, selected cluster, final bound, visited,
+    flow solves)`` — what the walk decides, without the flow witness.
+    """
+    visited = 0
+    solves = 0
+    for cluster in tree.path_to_root(source):
+        visited += 1
+        if bounds_cache is not None:
+            cached = bounds_cache.get(graph, cluster)
+            if cached < eta:
+                return cluster.members, cluster.index, cached, visited, solves
+        computation = outreach_upper_bound(
+            graph, [source], cluster.members, cheap_accept_below=eta
+        )
+        solves += computation.used_flow
+        if computation.upper_bound < eta:
+            return (
+                cluster.members, cluster.index, computation.upper_bound,
+                visited, solves,
+            )
+    raise AssertionError("the root cluster always qualifies")
+
+
+def _assert_same_walk(graph, tree, source, eta, bounds_cache=None,
+                      reference_cache=None):
+    """The witness walk decides exactly what the Algorithm-1 walk does."""
+    want = _algorithm_1_walk(graph, tree, source, eta, reference_cache)
+    got = single_source_candidates(
+        graph, tree, source, eta, bounds_cache=bounds_cache
+    )
+    assert got.candidates == set(want[0])
+    assert got.selected_clusters == [want[1]]
+    assert got.final_upper_bound == want[2]
+    assert got.clusters_visited == want[3]
+    assert got.flow_calls <= want[4]
+    witnessed = [step for step in got.trace if step.via == "witness"]
+    assert all(not step.accepted and step.bound >= eta for step in witnessed)
+    return len(witnessed)
+
+
+class TestWitnessWalkIdentity:
+    """The flow witness changes no decision of the Section 4.2 walk."""
+
+    ETAS = (0.3, 0.5, 0.7)
+
+    @pytest.mark.parametrize("graph", [
+        nethept_like(n=80, seed=2),
+        uncertain_gnp(60, 0.05, (0.1, 0.95), seed=5),
+        biomine_like(n=80, seed=3),
+    ], ids=["nethept", "gnp", "biomine"])
+    def test_every_node_every_eta(self, graph):
+        tree, _ = build_rqtree(graph, seed=4)
+        witnessed = 0
+        for source in range(graph.num_nodes):
+            for eta in self.ETAS:
+                witnessed += _assert_same_walk(graph, tree, source, eta)
+                witnessed += _assert_same_walk(
+                    graph, tree, source, eta,
+                    bounds_cache=ClusterBoundsCache(),
+                    reference_cache=ClusterBoundsCache(),
+                )
+        assert witnessed > 0  # the witness really ran
+
+    def test_maintained_index_after_updates(self):
+        graph = biomine_like(n=80, seed=6)
+        dyn = DynamicRQTreeEngine(graph, seed=6)
+        rng = random.Random(6)
+        for step in range(200):
+            if step % 20 == 0:
+                # Fill the maintained bounds cache, so the walks below
+                # also read entries that outlived later updates.
+                for source in range(graph.num_nodes):
+                    dyn.candidates(source, 0.5)
+            u, v = rng.sample(range(graph.num_nodes), 2)
+            op = rng.choice(["set", "insert", "delete"])
+            dyn.apply([(op, u, v, round(rng.uniform(0.05, 1.0), 3))])
+        witnessed = 0
+        for source in range(graph.num_nodes):
+            for eta in self.ETAS:
+                witnessed += _assert_same_walk(
+                    dyn.graph, dyn.tree, source, eta,
+                    bounds_cache=dyn.engine.bounds_cache,
+                    reference_cache=ClusterBoundsCache(),
+                )
+        assert witnessed > 0
 
 
 class TestMultiSourceGreedy:

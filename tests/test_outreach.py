@@ -3,19 +3,22 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import UncertainGraph
+from repro import UncertainGraph, build_rqtree
 from repro.core.outreach import (
     capacity_of,
     combine_upper_bounds,
     general_outreach_upper_bound,
     outreach_upper_bound,
+    outreach_witness,
 )
 from repro.errors import EmptySourceSetError
 from repro.graph.exact import exact_outreach
-from repro.graph.generators import uncertain_gnp, uncertain_path
+from repro.graph.generators import nethept_like, uncertain_gnp, uncertain_path
 
 
 class TestCapacity:
@@ -159,6 +162,100 @@ class TestCheapAccept:
             )
             exact = exact_outreach(g, [0], cluster)
             assert result.upper_bound >= exact - 1e-9
+
+
+def _certain_exit_path(graph, source, cluster):
+    """Whether arcs of ``p = 1`` alone lead from *source* out of *cluster*."""
+    seen = {source}
+    frontier = [source]
+    for u in frontier:
+        for v, p in graph.successors(u).items():
+            if p < 1.0 or v in seen:
+                continue
+            if v not in cluster:
+                return True
+            seen.add(v)
+            frontier.append(v)
+    return False
+
+
+class TestOutreachWitness:
+    """The flow witness only ever certifies what Algorithm 1 rejects."""
+
+    ETAS = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.sampled_from(["gnp", "nethept"]),
+        st.integers(0, 10_000),
+        st.integers(0, 4),
+    )
+    def test_certificate_implies_algorithm_1_rejects(
+        self, family, seed, certain_arcs
+    ):
+        if family == "gnp":
+            graph = uncertain_gnp(20, 0.15, (0.1, 0.95), seed=seed)
+        else:
+            graph = nethept_like(n=24, seed=seed)
+        # A few p = 1 arcs, so certain exit paths occur.
+        rng = random.Random(seed)
+        arcs = sorted(graph.arcs())
+        for u, v, _ in rng.sample(arcs, min(certain_arcs, len(arcs))):
+            graph.add_arc(u, v, 1.0)
+        tree, _ = build_rqtree(graph, seed=seed)
+        for cluster in tree.clusters:
+            members = cluster.members
+            boundary_free = general_outreach_upper_bound(graph, members) == 0.0
+            for source in sorted(members):
+                upper = outreach_upper_bound(graph, [source], members).upper_bound
+                certain = _certain_exit_path(graph, source, members)
+                for eta in self.ETAS:
+                    certified = outreach_witness(graph, source, members, eta)
+                    if boundary_free:
+                        assert certified is None
+                    if certain:
+                        assert certified is not None
+                    if certified is None:
+                        continue
+                    # Algorithm 1 rejects: its bound reaches the certificate.
+                    assert eta <= certified <= upper
+
+    def test_certain_exit_path_certifies_one(self):
+        # 0 -(1)- 1 -(1)- 2 -(0.5)- 3: {0, 1} leaves through p = 1 arcs.
+        graph = uncertain_path([1.0, 1.0, 0.5])
+        assert outreach_witness(graph, 0, {0, 1}, 0.99) == 1.0
+        assert outreach_upper_bound(graph, [0], {0, 1}).upper_bound == 1.0
+        # {0, 1, 2} leaves only through the p = 0.5 arc.
+        assert outreach_witness(graph, 0, {0, 1, 2}, 0.3) == pytest.approx(0.5)
+        assert outreach_witness(graph, 0, {0, 1, 2}, 0.7) is None
+
+    def test_source_outside_cluster_rejected(self, fig1_graph):
+        with pytest.raises(ValueError):
+            outreach_witness(fig1_graph, 0, {1, 2}, 0.5)
+
+    def test_boundary_free_cluster_returns_none(self, fig1_graph):
+        everything = set(range(fig1_graph.num_nodes))
+        assert outreach_witness(fig1_graph, 0, everything, 0.1) is None
+
+    def test_parallel_paths_add_up(self):
+        # Two arc-disjoint exits of p = 0.5 each: f = 2 log 2, so the
+        # witness certifies 1 - 0.25 = 0.75 (= U_out) once both are pushed.
+        graph = UncertainGraph(4)
+        graph.add_arc(0, 1, 0.5)
+        graph.add_arc(0, 2, 0.5)
+        graph.add_arc(1, 3, 1.0)
+        graph.add_arc(2, 3, 1.0)
+        cluster = {0, 1, 2}
+        assert outreach_witness(graph, 0, cluster, 0.4) == pytest.approx(0.5)
+        assert outreach_witness(graph, 0, cluster, 0.7) == pytest.approx(0.75)
+        assert outreach_witness(graph, 0, cluster, 0.76) is None
+        assert outreach_upper_bound(graph, [0], cluster).upper_bound == (
+            pytest.approx(0.75)
+        )
 
 
 class TestCombination:

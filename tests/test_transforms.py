@@ -166,4 +166,23 @@ class TestExplain:
         graph = nethept_like(n=100, seed=2)
         engine = RQTreeEngine.build(graph, seed=2)
         trace = engine.query(7, 0.6).candidate_result.trace
-        assert all(step.via in ("cache", "cheap", "flow") for step in trace)
+        assert all(
+            step.via in ("cache", "cheap", "flow", "witness") for step in trace
+        )
+        # A witness step is a certified rejection: U_out >= its bound >= eta.
+        for step in trace:
+            if step.via == "witness":
+                assert not step.accepted
+                assert step.bound >= 0.6
+
+    def test_explain_marks_witness_bounds_as_lower_bounds(self):
+        graph = nethept_like(n=100, seed=2)
+        engine = RQTreeEngine.build(graph, seed=2)
+        result = engine.query(7, 0.6).candidate_result
+        lines = result.explain().splitlines()[1:]
+        assert any(step.via == "witness" for step in result.trace)
+        for step, line in zip(result.trace, lines):
+            if step.via == "witness":
+                assert f"U_out >= {step.bound:.4f}  [witness]" in line
+            else:
+                assert f"U_out <= {step.bound:.4f}  [{step.via}]" in line
