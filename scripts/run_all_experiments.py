@@ -42,7 +42,7 @@ REPORT_ORDER = [
     ("Ablation — Theorem-5 early accept", "ablation_cheap_bound"),
     ("Ablation — flow-witness rejection", "ablation_witness"),
     ("Extension — branching factor", "extension_branching"),
-    ("Extension — incremental maintenance", "extension_maintenance"),
+    ("Extension — updates without index repair", "extension_maintenance"),
     ("Monte-Carlo estimator comparison (after Fishman [13])",
      "estimator_comparison"),
     ("Distance-constrained queries", "hop_constrained"),

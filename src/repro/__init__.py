@@ -79,7 +79,6 @@ from .core.detection import (
     reliability_scores,
     top_k_reliable,
 )
-from .core.maintenance import DynamicRQTreeEngine, MaintenanceStats
 from .reliability.montecarlo import mc_sampling_search, mc_reliability
 from .reliability.rht import rht_reliability, rht_reliability_search
 from .influence.spread import expected_spread_mc, expected_spread_histogram
@@ -146,8 +145,6 @@ __all__ = [
     "detect_reliability",
     "reliability_scores",
     "top_k_reliable",
-    "DynamicRQTreeEngine",
-    "MaintenanceStats",
     # sharded serving
     "ShardPlan",
     "build_shard_plan",

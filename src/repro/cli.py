@@ -218,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "503 + Retry-After (default: 8 x --max-in-flight)")
     serve.add_argument("--live", action="store_true",
                        help="enable the update plane (POST /update): "
-                       "epoch-versioned snapshots, streaming arc "
-                       "updates, incremental index maintenance")
+                       "epoch-versioned snapshots and streaming arc "
+                       "updates over the index built at start-up")
 
     update = commands.add_parser(
         "update",

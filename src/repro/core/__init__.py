@@ -1,7 +1,7 @@
 """The paper's primary contribution: the RQ-tree index and query engine."""
 
 from .rqtree import RQTree, ClusterNode
-from .builder import build_rqtree, BuildReport, split_cluster, rebuild_subtree
+from .builder import build_rqtree, BuildReport, split_cluster
 from .outreach import (
     OutreachComputation,
     outreach_upper_bound,
@@ -32,7 +32,6 @@ from .detection import (
     reliability_scores,
     top_k_reliable,
 )
-from .maintenance import DynamicRQTreeEngine, MaintenanceStats
 from .bounds_cache import ClusterBoundsCache
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "build_rqtree",
     "BuildReport",
     "split_cluster",
-    "rebuild_subtree",
     "OutreachComputation",
     "outreach_upper_bound",
     "general_outreach_upper_bound",
@@ -65,7 +63,5 @@ __all__ = [
     "detect_reliability",
     "reliability_scores",
     "top_k_reliable",
-    "DynamicRQTreeEngine",
-    "MaintenanceStats",
     "ClusterBoundsCache",
 ]

@@ -11,8 +11,8 @@ most expensive scan from every repeat visit to a cluster.
 
 The cache is graph-version-sensitive: any mutation must be followed by
 :meth:`ClusterBoundsCache.invalidate` (per cluster) or
-:meth:`ClusterBoundsCache.clear`; :class:`repro.core.maintenance.
-DynamicRQTreeEngine` wires this automatically.
+:meth:`ClusterBoundsCache.clear`; :meth:`repro.core.engine.RQTreeEngine.
+apply` invalidates exactly the clusters whose boundary an update changed.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ __all__ = ["ClusterBoundsCache"]
 class ClusterBoundsCache:
     """Lazily computed ``Ū_out`` per RQ-tree cluster.
 
-    Keys are cluster indices of one fixed tree; a tree swap (subtree
-    rebuild) requires :meth:`clear`.
+    Keys are cluster indices of one fixed tree; pairing the cache with
+    another tree requires :meth:`clear`.
     """
 
     def __init__(self) -> None:

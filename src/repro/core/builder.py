@@ -18,22 +18,22 @@ tree is balanced, index construction costs ``O((n + m) log n)`` and the
 resulting tree stores ``O(n log n)`` member ids, matching the paper's
 accounting (Section 6, "Index building time" / "Index storage space").
 
-:func:`rebuild_subtree` re-partitions one cluster's branch against the
-*current* graph, which is the repair primitive behind incremental index
-maintenance (:mod:`repro.core.maintenance`).
+The tree is built once.  Its bounds are computed against the current
+graph at query time, so it stays a correct index while the graph
+changes (:meth:`repro.core.engine.RQTreeEngine.apply`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from ..graph.uncertain import UncertainGraph
 from ..partition.bipartition import bisect_uncertain_cluster
 from .rqtree import RQTree
 
-__all__ = ["BuildReport", "build_rqtree", "split_cluster", "rebuild_subtree"]
+__all__ = ["BuildReport", "build_rqtree", "split_cluster"]
 
 
 @dataclass
@@ -133,37 +133,9 @@ def build_rqtree(
         report = BuildReport(time.perf_counter() - start, 0, 0, 0)
         return tree, report
 
+    # Algorithm 2's repeat-loop, iteratively.
     root_members: Set[int] = set(graph.nodes())
-    root_index = tree.add_cluster(None, root_members)
-    _expand(
-        graph, tree, root_index, root_members,
-        max_imbalance=max_imbalance, seed=seed,
-        strategy=strategy, branching=branching,
-    )
-
-    if validate:
-        tree.validate()
-    report = BuildReport(
-        build_seconds=time.perf_counter() - start,
-        num_clusters=tree.num_clusters,
-        height=tree.height,
-        storage_bytes=tree.storage_size_estimate(),
-    )
-    return tree, report
-
-
-def _expand(
-    graph: UncertainGraph,
-    tree: RQTree,
-    start_index: int,
-    start_members: Set[int],
-    max_imbalance: float,
-    seed: int,
-    strategy: str,
-    branching: int,
-) -> None:
-    """Algorithm 2's repeat-loop below *start_index* (iterative)."""
-    stack = [(start_index, start_members)]
+    stack = [(tree.add_cluster(None, root_members), root_members)]
     split_counter = 0
     while stack:
         cluster_index, members = stack.pop()
@@ -181,48 +153,12 @@ def _expand(
             if len(part) > 1:
                 stack.append((child_index, part))
 
-
-def rebuild_subtree(
-    graph: UncertainGraph,
-    tree: RQTree,
-    cluster_index: int,
-    max_imbalance: float = 0.1,
-    seed: int = 0,
-    strategy: str = "multilevel",
-    branching: int = 2,
-) -> RQTree:
-    """Re-partition one cluster's branch against the current graph.
-
-    Returns a **new** tree in which the subtree rooted at
-    *cluster_index* has been rebuilt by Algorithm 2 while every other
-    cluster is copied verbatim.  This is how incremental maintenance
-    repairs locally degraded cut quality after arc updates without
-    paying a full ``O((n+m) log n)`` rebuild: the cost is
-    ``O((n_C + m_C) log n_C)`` for the affected cluster only.
-
-    Rebuilding the root is equivalent to a full rebuild.
-    """
-    if not 0 <= cluster_index < tree.num_clusters:
-        raise ValueError(f"no cluster with index {cluster_index}")
-    new_tree = RQTree(tree.num_graph_nodes)
-
-    # Root-first DFS copy; the rebuilt branch is expanded in place of
-    # the copied one.
-    stack: List[Tuple[int, Optional[int]]] = []
-    if tree.root is not None:
-        stack.append((tree.root, None))
-    while stack:
-        old_index, new_parent = stack.pop()
-        old_cluster = tree.clusters[old_index]
-        new_index = new_tree.add_cluster(new_parent, set(old_cluster.members))
-        if old_index == cluster_index:
-            _expand(
-                graph, new_tree, new_index, set(old_cluster.members),
-                max_imbalance=max_imbalance, seed=seed,
-                strategy=strategy, branching=branching,
-            )
-            continue  # descendants replaced, do not copy the old ones
-        for child in old_cluster.children:
-            stack.append((child, new_index))
-    new_tree.validate()
-    return new_tree
+    if validate:
+        tree.validate()
+    report = BuildReport(
+        build_seconds=time.perf_counter() - start,
+        num_clusters=tree.num_clusters,
+        height=tree.height,
+        storage_bytes=tree.storage_size_estimate(),
+    )
+    return tree, report

@@ -98,9 +98,10 @@ class CandidateResult:
         stop (``< η``).
     max_subgraph_nodes / max_subgraph_arcs:
         Largest boundary subgraph any flow ran on — the empirical
-        ``ñ`` / ``m̃`` of Table 1.  Witness steps build no subgraph and
-        add nothing; a walk's clusters are nested, so when Algorithm 1
-        accepts, its subgraph is still the largest of the walk.
+        ``ñ`` / ``m̃`` of Table 1.  Witness steps and bounds-cache
+        accepts build no subgraph and add nothing to either; a walk's
+        clusters are nested, so when Algorithm 1 accepts, its subgraph
+        is still the largest of the walk.
     selected_clusters:
         The tree indices of the clusters whose union is the candidate
         set (one for single-source queries).
@@ -216,8 +217,8 @@ def single_source_candidates(
         visited += 1
         if bounds_cache is not None:
             # Source-independent Theorem-5 bound, computed once per
-            # cluster across all queries.  A cached accept reports the
-            # cluster size as the subgraph size (the scan was skipped).
+            # cluster across all queries.  A cached accept builds no
+            # boundary subgraph, so it adds nothing to ñ / m̃.
             cached = bounds_cache.get(graph, cluster)
             if cached < eta:
                 trace.append(TraversalStep(
@@ -229,7 +230,7 @@ def single_source_candidates(
                     clusters_visited=visited,
                     flow_calls=flow_calls,
                     final_upper_bound=cached,
-                    max_subgraph_nodes=max(max_nodes, cluster.size),
+                    max_subgraph_nodes=max_nodes,
                     max_subgraph_arcs=max_arcs,
                     selected_clusters=[cluster.index],
                     trace=trace,
@@ -331,7 +332,6 @@ def multi_source_candidates_greedy(
         if bounds_cache is not None:
             cached = bounds_cache.get(graph, cluster)
             if cached < per_cursor_accept:
-                max_nodes = max(max_nodes, cluster.size)
                 trace.append(TraversalStep(
                     cluster.index, cluster.size, cluster.depth,
                     cached, "cache",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from ..errors import EmptySourceSetError
 from ..estimators import (
@@ -200,8 +200,7 @@ class RQTreeEngine:
         self.build_report = build_report
         self.flow_engine = flow_engine
         # Source-independent Theorem-5 bounds, shared across queries.
-        # Callers that mutate the graph must invalidate it (the dynamic
-        # engine does so automatically).
+        # Mutate the graph through apply(), which invalidates them.
         self.bounds_cache = ClusterBoundsCache()
         #: Cost-based estimator selection for ``method="auto"``; its
         #: config also caps the exact estimator for explicit
@@ -229,6 +228,38 @@ class RQTreeEngine:
             flow_engine=flow_engine,
             planner_config=planner_config,
         )
+
+    # ------------------------------------------------------------------
+    # Updates
+    # ------------------------------------------------------------------
+    def apply(self, ops: Iterable[object]) -> int:
+        """Apply one batch of arc updates to the graph; returns the
+        number that changed it.
+
+        Ops are anything :func:`repro.live.updates.normalize_updates`
+        accepts, with the batch semantics of
+        :func:`repro.live.updates.apply_to_graph`.  The tree is kept as
+        built: the ``U_out`` bounds are computed against the current
+        graph, so any hierarchical partition is a correct index and an
+        update can only change how much it prunes.  Each applied update
+        of ``(u, v)`` drops the cached Theorem-5 bound of every cluster
+        whose boundary arcs it changed: those on ``u``'s leaf-to-root
+        path below the first cluster that contains ``v``.
+        """
+        from ..live.updates import apply_to_graph, normalize_updates
+
+        applied = 0
+        for update in normalize_updates(ops):
+            if not apply_to_graph(self.graph, (update,)):
+                continue
+            applied += 1
+            stale = []
+            for cluster in self.tree.path_to_root(update.u):
+                if update.v in cluster.members:
+                    break
+                stale.append(cluster.index)
+            self.bounds_cache.invalidate(stale)
+        return applied
 
     # ------------------------------------------------------------------
     # Queries

@@ -18,11 +18,13 @@ pipeline:
    the subgraph's cut structure, i.e. its width;
 3. past any cap — including the in-flight ``exact_state_cap`` guard,
    which can trip mid-computation when the width probe was too
-   optimistic — fall back to the chunked-MC estimator under a seed
-   derived from the query seed (``derive_seed(seed or 0, "estimators",
-   "exact-fallback")``) so an explicit ``method="exact"`` stays
-   deterministic — and therefore cacheable — even when it cannot be
-   exact.
+   optimistic — fall back to the chunked-MC estimator under the query's
+   own seed, so the fallback is exactly the ``mc`` query at that seed
+   (and ``auto``, which picks ``mc`` there, draws the same coins); an
+   unseeded query gets a fixed derived seed (``derive_seed(0,
+   "estimators", "exact-fallback")``), so an explicit
+   ``method="exact"`` stays deterministic — and therefore cacheable —
+   even when it cannot be exact.
 
 Answers are certified lower bounds of the whole-graph reliability
 (the candidate-induced subgraph only removes paths), zero-variance, and
@@ -271,17 +273,17 @@ class ExactEstimator(Estimator):
     def _fallback(
         self, request: EstimateRequest, why: str
     ) -> VerificationReport:
-        """Deterministic chunked-MC fallback past the exactness caps."""
+        """Deterministic chunked-MC fallback past the exactness caps:
+        ``mc`` under the query's seed, or a fixed derived one when the
+        query has none."""
         from ..service.metrics import get_registry
 
         get_registry().counter("planner.exact_fallbacks").inc()
-        fallback_seed = derive_seed(
-            request.seed if request.seed is not None else 0,
-            "estimators",
-            "exact-fallback",
-        )
+        seed = request.seed
+        if seed is None:
+            seed = derive_seed(0, "estimators", "exact-fallback")
         report = MonteCarloEstimator().estimate(
-            request.with_(seed=fallback_seed, coin_source=None)
+            request.with_(seed=seed, coin_source=None)
         )
         report.estimator = MonteCarloEstimator.name
         report.notes = f"exact fallback: {why}; ran seeded mc instead"

@@ -1,8 +1,8 @@
 """Live engines: the write path over the single and sharded read paths.
 
 :class:`LiveRQTreeEngine` pairs one
-:class:`~repro.core.maintenance.DynamicRQTreeEngine` (index repair on
-the master graph) with an :class:`~repro.live.epochs.EpochStore`
+:class:`~repro.core.engine.RQTreeEngine` (the master graph and the
+index built at start-up) with an :class:`~repro.live.epochs.EpochStore`
 (query isolation): every admitted batch bumps the epoch, publishes a
 copy-on-write snapshot, and queries always run against the snapshot of
 the epoch they were admitted on.
@@ -19,15 +19,15 @@ contract across the shard boundary:
 
 * ``apply`` admits a batch under the apply lock (ids outside the graph
   refuse it before an epoch is minted), mutates the master graph,
-  streams each shard its local-id update slice (workers repair their
-  subtree clusters in place; the single-threaded worker's ack doubles
-  as the old-epoch drain barrier), and only then publishes the new
-  snapshot — so a query admitted mid-apply still reads its own epoch
-  end to end, with any cross-epoch shard response demoted to
-  candidates and recomputed by gateway refinement.  Shard payloads
-  (local graph, CSR, shm segment) are respawn recipes, so they are
-  rebuilt at the new epoch only under a supervisor, before any slice
-  streams;
+  streams each shard its local-id update slice (each worker applies it
+  to its own engine, whose index is never rebuilt; the single-threaded
+  worker's ack doubles as the old-epoch drain barrier), and only then
+  publishes the new snapshot — so a query admitted mid-apply still
+  reads its own epoch end to end, with any cross-epoch shard response
+  demoted to candidates and recomputed by gateway refinement.  Shard
+  payloads (local graph, CSR, shm segment) are respawn recipes, so
+  they are rebuilt at the new epoch only under a supervisor, before
+  any slice streams;
 * ``rebalance`` builds a complete new shard topology (plan, payloads,
   workers) at the *current* epoch while the old one keeps serving,
   then swaps the routing pair atomically, drains the old clients, and
@@ -49,7 +49,6 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..core.engine import QueryResult, RQTreeEngine
-from ..core.maintenance import DynamicRQTreeEngine
 from ..errors import ShardUnavailableError
 from ..graph.uncertain import UncertainGraph
 from ..shard.engine import ShardedRQTreeEngine
@@ -81,12 +80,12 @@ class LiveRQTreeEngine:
 
     def __init__(
         self,
-        maintainer: DynamicRQTreeEngine,
+        engine: RQTreeEngine,
         store: Optional[EpochStore] = None,
         log: Optional[UpdateLog] = None,
     ) -> None:
-        self._maintainer = maintainer
-        self.graph = maintainer.graph
+        self._engine = engine
+        self.graph = engine.graph
         self.store = store or EpochStore()
         self.log = log or UpdateLog()
         self._apply_lock = threading.Lock()
@@ -97,27 +96,24 @@ class LiveRQTreeEngine:
     def build(
         cls,
         graph: UncertainGraph,
-        damage_threshold: float = 0.25,
         seed: int = 0,
         strategy: str = "multilevel",
         max_imbalance: float = 0.1,
-        min_rebuild_size: int = 8,
     ) -> "LiveRQTreeEngine":
         """Build the index, then wrap it with the update plane."""
         return cls(
-            DynamicRQTreeEngine(
+            RQTreeEngine.build(
                 graph,
-                damage_threshold=damage_threshold,
+                max_imbalance=max_imbalance,
                 seed=seed,
                 strategy=strategy,
-                max_imbalance=max_imbalance,
-                min_rebuild_size=min_rebuild_size,
             )
         )
 
     @property
-    def maintainer(self) -> DynamicRQTreeEngine:
-        return self._maintainer
+    def engine(self) -> RQTreeEngine:
+        """The engine over the master graph that batches are applied to."""
+        return self._engine
 
     @property
     def epoch(self) -> int:
@@ -125,8 +121,8 @@ class LiveRQTreeEngine:
 
     @property
     def tree(self):
-        """The maintained RQ-tree (valid for every epoch's snapshot)."""
-        return self._maintainer.tree
+        """The RQ-tree built at start-up (valid for every epoch's snapshot)."""
+        return self._engine.tree
 
     # ------------------------------------------------------------------
     # Write path
@@ -135,10 +131,9 @@ class LiveRQTreeEngine:
         """Admit one update batch; returns the new epoch.
 
         Serialized under the apply lock: the batch is validated and
-        logged, applied to the master graph through the maintainer
-        (accruing cluster damage, possibly repairing a subtree), and a
-        copy-on-write snapshot of the result is published as a delta
-        of the previous one.  Queries in
+        logged, applied to the master graph through
+        :meth:`RQTreeEngine.apply`, and a copy-on-write snapshot of the
+        result is published as a delta of the previous one.  Queries in
         flight keep their admission epoch's snapshot; queries admitted
         after this call see the new epoch.
         """
@@ -150,7 +145,7 @@ class LiveRQTreeEngine:
             epoch, updates = self.log.append(
                 ops, num_nodes=self.graph.num_nodes
             )
-            self._maintainer.apply(updates)
+            self._engine.apply(updates)
             self.graph.set_epoch(epoch)
             self.store.publish_delta(self.graph, self.log)
         registry.counter("live.updates").inc()
@@ -167,10 +162,10 @@ class LiveRQTreeEngine:
         """Answer a query against the current epoch's frozen snapshot.
 
         The per-epoch query engine (a cheap :class:`RQTreeEngine` over
-        the snapshot graph, sharing the maintainer's current tree — any
-        partition is a correct index for any epoch) is built lazily and
-        cached on the snapshot, so concurrent queries on one epoch
-        share a bounds cache.
+        the snapshot graph, sharing the start-up tree — any partition
+        is a correct index for any epoch) is built lazily and cached on
+        the snapshot, so concurrent queries on one epoch share a bounds
+        cache.
         """
         with self.store.lease() as lease:
             snapshot = lease.snapshot
@@ -178,8 +173,8 @@ class LiveRQTreeEngine:
             if engine is None:
                 engine = RQTreeEngine(
                     lease.graph,
-                    self._maintainer.tree,
-                    flow_engine=self._maintainer.engine.flow_engine,
+                    self._engine.tree,
+                    flow_engine=self._engine.flow_engine,
                 )
                 snapshot.engine = engine
             return engine.query(*args, **kwargs)

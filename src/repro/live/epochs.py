@@ -50,7 +50,7 @@ class EpochSnapshot:
     #: snapshot is freed.
     segments: List[str] = field(default_factory=list)
     #: Per-epoch query engine slot (a cheap RQTreeEngine sharing the
-    #: maintained tree), built lazily by LiveRQTreeEngine so concurrent
+    #: start-up tree), built lazily by LiveRQTreeEngine so concurrent
     #: queries on one epoch share a bounds cache.
     engine: Optional[object] = None
     leases: int = 0

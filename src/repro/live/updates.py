@@ -13,8 +13,8 @@ An :class:`ArcUpdate` is one of three operations on one directed arc:
 Updates are admitted in *batches*: :meth:`UpdateLog.append` assigns the
 batch the next epoch number, and every consumer of the log — the
 gateway's master graph, each shard's
-:class:`~repro.core.maintenance.DynamicRQTreeEngine`, a cold-rebuild
-parity check — applies whole batches in epoch order.  Determinism is
+:class:`~repro.core.engine.RQTreeEngine`, a cold-rebuild parity check —
+applies whole batches in epoch order.  Determinism is
 the point: the same batch sequence applied anywhere produces the same
 graph, which is what the update-parity suite asserts.
 """
@@ -131,10 +131,9 @@ def normalize_updates(ops: Iterable[object]) -> List[ArcUpdate]:
 def apply_to_graph(graph: UncertainGraph, ops: Sequence[ArcUpdate]) -> int:
     """Apply a batch to a bare graph; returns the number applied.
 
-    This is the *semantic definition* of a batch — exactly what
-    :meth:`DynamicRQTreeEngine.apply` does to its graph, minus the
-    damage accounting — used by the gateway's master graph and by
-    cold-rebuild parity checks.  ``set``/``insert`` write the
+    This is the *semantic definition* of a batch, used by
+    :meth:`~repro.core.engine.RQTreeEngine.apply`, by the gateway's
+    master graph and by cold-rebuild parity checks.  ``set``/``insert`` write the
     probability exactly (remove-then-add, never noisy-or);
     ``delete`` of a missing arc is a no-op.
     """

@@ -23,8 +23,8 @@ Endpoints
   "epoch": E, "ops": N}`` when the service is live, 400 otherwise and
   for rejected batches (rejection is atomic: a 400 applied nothing).
   The apply runs on the default executor so a long update stream
-  (index repairs, per-shard slice streaming) never stalls the event
-  loop's queries.
+  (per-shard slice streaming, snapshot publication) never stalls the
+  event loop's queries.
 * ``POST /batch`` — body ``{"queries": [<query body>, ...]}``; every
   query is submitted up front (so they share admission, dedup, and
   world batching like any concurrent burst) and results **stream** back

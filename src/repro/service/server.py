@@ -212,10 +212,9 @@ class ReliabilityService:
             self._owned_sharded = engine
         self._owned_live = None
         if shards is None and live and isinstance(engine, RQTreeEngine):
-            from ..core.maintenance import DynamicRQTreeEngine
             from ..live import LiveRQTreeEngine
 
-            engine = LiveRQTreeEngine(DynamicRQTreeEngine.from_engine(engine))
+            engine = LiveRQTreeEngine(engine)
             self._owned_live = engine
         self._engine = engine
         self._registry = registry
@@ -505,22 +504,22 @@ class ReliabilityService:
     def apply_updates(self, ops: Sequence[object]) -> Dict[str, int]:
         """Apply a batch of arc updates through the live engine.
 
-        Only available when the service was built with ``live=True``
-        (the wrapped engine then exposes ``apply``).  Returns the epoch
-        the batch was published under; in-flight queries keep running
-        against their admitted epoch, new submissions see the new one
-        (and miss the result cache, whose keys embed the epoch).
+        Only available when the service serves a live engine (built
+        with ``live=True``, or handed one).  Returns the epoch the batch
+        was published under; in-flight queries keep running against
+        their admitted epoch, new submissions see the new one (and miss
+        the result cache, whose keys embed the epoch).
         """
-        apply = getattr(self._engine, "apply", None)
-        if apply is None:
+        from ..live import LiveRQTreeEngine, LiveShardedEngine
+        from ..live.updates import normalize_updates
+
+        if not isinstance(self._engine, (LiveRQTreeEngine, LiveShardedEngine)):
             raise ValueError(
                 "engine does not accept updates; construct the service "
                 "with live=True to enable the update plane"
             )
-        from ..live.updates import normalize_updates
-
         updates = normalize_updates(ops)
-        epoch = apply(updates)
+        epoch = self._engine.apply(updates)
         maybe_rebalance = getattr(self._engine, "maybe_rebalance", None)
         if maybe_rebalance is not None:
             maybe_rebalance()

@@ -61,7 +61,7 @@ from ..graph.paths import (
     most_likely_path_probabilities,
 )
 from ..graph.uncertain import UncertainGraph
-from ..core.verification import packing_bounds
+from ..core.verification import _ETA_SLACK, packing_bounds
 from ..estimators import (
     AUTO,
     EstimateRequest,
@@ -85,12 +85,6 @@ from .supervisor import ShardSupervisor, SupervisorPolicy
 from .worker import InlineShardClient, ProcessShardClient
 
 __all__ = ["ShardedRQTreeEngine"]
-
-#: Mirrors repro.core.verification._ETA_SLACK: the relative tolerance
-#: the lower-bound verifier applies when comparing against eta.  The
-#: gateway's refinement pass must use the identical cutoff to reproduce
-#: single-engine answers bit for bit.
-_ETA_SLACK = 1e-9
 
 #: Grace added to a budgeted query's shard-response timeout: covers
 #: queue hops so a shard that honours its (already expired) deadline

@@ -114,7 +114,6 @@ class ShardRuntime:
 
     def __init__(self, payload: Dict[str, object]) -> None:
         self.shard_id: int = payload["shard_id"]
-        self._maintainer = None
         if payload.get("transport", "pickle") == "shm":
             graph, self._global_ids = self._from_segment(payload["shm"])
         else:
@@ -136,13 +135,13 @@ class ShardRuntime:
             # reconstructs the exact tree to_json saw.
             from ..core.rqtree import RQTree
 
-            self._engine = RQTreeEngine(
+            self.engine = RQTreeEngine(
                 graph,
                 RQTree.from_json(tree_document),
                 flow_engine=payload["flow_engine"],
             )
         else:
-            self._engine = RQTreeEngine.build(
+            self.engine = RQTreeEngine.build(
                 graph,
                 max_imbalance=payload["max_imbalance"],
                 seed=payload["build_seed"],
@@ -173,14 +172,6 @@ class ShardRuntime:
         return graph, [int(node) for node in global_ids]
 
     @property
-    def engine(self) -> RQTreeEngine:
-        # After live updates the maintainer may have rebuilt and
-        # replaced the engine; it is the authority once it exists.
-        if self._maintainer is not None:
-            return self._maintainer.engine
-        return self._engine
-
-    @property
     def epoch(self) -> int:
         return self.engine.graph.epoch
 
@@ -206,23 +197,20 @@ class ShardRuntime:
         """Apply one epoch's update slice to this shard, in place.
 
         ``spec`` carries ``ops`` (local-id ``(op, u, v, p)`` tuples) and
-        the target ``epoch``.  The ops run through a
-        :class:`~repro.core.maintenance.DynamicRQTreeEngine` wrapped
-        around the live engine, so damaged subtree clusters are
-        repaired in place rather than rebuilt from scratch.  Sub-queries
-        read the adjacency dicts only (they always run ``lb``), so no
-        CSR is rebuilt here; sampling happens at the gateway.  The ack
-        (this return value) is the gateway's drain barrier — the worker
-        is single-threaded, so by the time it answers, every sub-query
+        the target ``epoch``.  The ops run through
+        :meth:`RQTreeEngine.apply` on this shard's engine, which keeps
+        the tree it was built with (so the supervisor's cached
+        ``tree_json`` stays this worker's index) and drops only the
+        cached bounds the slice made stale.  Sub-queries read the
+        adjacency dicts only (they always run ``lb``), so no CSR is
+        rebuilt here; sampling happens at the gateway.  The ack (this
+        return value) is the gateway's drain barrier — the worker is
+        single-threaded, so by the time it answers, every sub-query
         admitted before the update has finished against the old graph.
         """
         fault_point("shard.update")
-        if self._maintainer is None:
-            from ..core.maintenance import DynamicRQTreeEngine
-
-            self._maintainer = DynamicRQTreeEngine.from_engine(self._engine)
-        applied = self._maintainer.apply(spec.get("ops", ()))
-        graph = self._maintainer.graph
+        applied = self.engine.apply(spec.get("ops", ()))
+        graph = self.engine.graph
         epoch = spec.get("epoch")
         if epoch is not None:
             graph.set_epoch(epoch)

@@ -260,9 +260,10 @@ class ShardSupervisor:
         Called by the live engine after streaming an update batch: a
         worker that dies from here on must respawn onto the *current*
         graph, not the one it booted with.  The cached ``tree_json`` is
-        carried over — updates never make an RQ-tree wrong (any
-        hierarchical partition is a correct index), so the respawned
-        worker still skips the partition cascade.
+        carried over: workers never rebuild their index (any
+        hierarchical partition is a correct one), so it is still the
+        tree the live worker holds, and the respawned worker skips the
+        partition cascade.
         """
         slot = self._slots[shard_id]
         with slot.lock:

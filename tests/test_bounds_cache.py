@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import DynamicRQTreeEngine, RQTreeEngine
+from repro import RQTreeEngine
 from repro.core.bounds_cache import ClusterBoundsCache
 from repro.core.outreach import general_outreach_upper_bound
 from repro.graph.generators import nethept_like, uncertain_path
@@ -97,17 +97,16 @@ class TestEngineIntegration:
 
     def test_dynamic_engine_invalidates_on_update(self):
         graph = uncertain_path([0.3, 0.3, 0.3, 0.3])
-        dyn = DynamicRQTreeEngine(graph, seed=0)
+        engine = RQTreeEngine.build(graph, seed=0)
         # Prime the cache and verify the update path clears affected
         # clusters.
-        dyn.query(0, 0.5)
-        cached_before = len(dyn._engine.bounds_cache)
-        dyn.add_arc(0, 4, 0.9)
+        engine.query(0, 0.5)
+        engine.apply([("set", 0, 4, 0.9)])
         # The leaf of node 0 crossed by the new arc must be invalidated.
-        leaf_index = dyn.tree.leaf_of(0)
-        assert dyn._engine.bounds_cache.peek(leaf_index) is None
+        leaf_index = engine.tree.leaf_of(0)
+        assert engine.bounds_cache.peek(leaf_index) is None
         # Queries remain correct after the update.
-        assert 4 in dyn.query(0, 0.5).nodes
+        assert 4 in engine.query(0, 0.5).nodes
 
     def test_dynamic_update_changes_cached_answer_correctly(self):
         # The regression the cache could introduce: a stale bound that
@@ -115,7 +114,28 @@ class TestEngineIntegration:
         graph = uncertain_path([0.2])
         graph_copy = graph.copy()
         extra = graph_copy.add_node()  # node 2, isolated
-        dyn = DynamicRQTreeEngine(graph_copy, seed=0)
-        assert extra not in dyn.query(0, 0.5).nodes
-        dyn.add_arc(0, extra, 0.9)
-        assert extra in dyn.query(0, 0.5).nodes
+        engine = RQTreeEngine.build(graph_copy, seed=0)
+        assert extra not in engine.query(0, 0.5).nodes
+        engine.apply([("set", 0, extra, 0.9)])
+        assert extra in engine.query(0, 0.5).nodes
+
+    def test_apply_invalidates_exactly_the_crossed_clusters(self):
+        graph = nethept_like(n=100, seed=4)
+        engine = RQTreeEngine.build(graph, seed=4)
+        tree = engine.tree
+        u, v = 3, 97
+        assert not graph.has_arc(u, v)
+        for cluster in tree.clusters:
+            engine.bounds_cache.get(graph, cluster)
+        # Deleting an absent arc changes nothing and invalidates nothing.
+        assert engine.apply([("delete", u, v)]) == 0
+        assert len(engine.bounds_cache) == tree.num_clusters
+        # The new arc leaves exactly the clusters on u's leaf-to-root
+        # path below the first one that contains v.
+        assert engine.apply([("set", u, v, 0.5)]) == 1
+        dropped = 0
+        for cluster in tree.clusters:
+            crossed = u in cluster.members and v not in cluster.members
+            assert (engine.bounds_cache.peek(cluster.index) is None) == crossed
+            dropped += crossed
+        assert dropped >= 1

@@ -14,7 +14,6 @@ from repro.core.candidates import (
     multi_source_candidates_greedy,
     single_source_candidates,
 )
-from repro.core.maintenance import DynamicRQTreeEngine
 from repro.core.outreach import outreach_upper_bound
 from repro.errors import (
     EmptySourceSetError,
@@ -169,26 +168,55 @@ class TestWitnessWalkIdentity:
 
     def test_maintained_index_after_updates(self):
         graph = biomine_like(n=80, seed=6)
-        dyn = DynamicRQTreeEngine(graph, seed=6)
+        engine = RQTreeEngine.build(graph, seed=6)
         rng = random.Random(6)
         for step in range(200):
             if step % 20 == 0:
-                # Fill the maintained bounds cache, so the walks below
+                # Fill the engine's bounds cache, so the walks below
                 # also read entries that outlived later updates.
                 for source in range(graph.num_nodes):
-                    dyn.candidates(source, 0.5)
+                    engine.candidates(source, 0.5)
             u, v = rng.sample(range(graph.num_nodes), 2)
             op = rng.choice(["set", "insert", "delete"])
-            dyn.apply([(op, u, v, round(rng.uniform(0.05, 1.0), 3))])
+            engine.apply([(op, u, v, round(rng.uniform(0.05, 1.0), 3))])
         witnessed = 0
         for source in range(graph.num_nodes):
             for eta in self.ETAS:
                 witnessed += _assert_same_walk(
-                    dyn.graph, dyn.tree, source, eta,
-                    bounds_cache=dyn.engine.bounds_cache,
+                    engine.graph, engine.tree, source, eta,
+                    bounds_cache=engine.bounds_cache,
                     reference_cache=ClusterBoundsCache(),
                 )
         assert witnessed > 0
+
+
+class TestSubgraphSizes:
+    """Table 1's ñ and m̃ count only boundary subgraphs a flow ran on."""
+
+    def test_cache_and_witness_steps_add_nothing(self):
+        graph = nethept_like(n=80, seed=2)
+        tree, _ = build_rqtree(graph, seed=4)
+        cache = ClusterBoundsCache()
+        checked = cache_steps = 0
+        for eta in (0.3, 0.5, 0.7):
+            for source in range(graph.num_nodes):
+                pair = [source, (source + 40) % graph.num_nodes]
+                for result in (
+                    single_source_candidates(
+                        graph, tree, source, eta, bounds_cache=cache
+                    ),
+                    multi_source_candidates_greedy(
+                        graph, tree, pair, eta, bounds_cache=cache
+                    ),
+                ):
+                    vias = {step.via for step in result.trace}
+                    if not vias <= {"cache", "witness"}:
+                        continue
+                    checked += 1
+                    cache_steps += "cache" in vias
+                    assert result.max_subgraph_nodes == 0
+                    assert result.max_subgraph_arcs == 0
+        assert checked > 0 and cache_steps > 0
 
 
 class TestMultiSourceGreedy:

@@ -244,6 +244,27 @@ class TestExactFallback:
         assert result.nodes == again.nodes
         assert result.estimates == again.estimates
 
+    @pytest.mark.parametrize("past", ["width-cap", "node-cap"])
+    def test_fallback_is_mc_at_the_query_seed(self, past):
+        """Past its caps, explicit ``exact`` is the ``mc`` query at the
+        same seed, so it and ``auto`` (which picks ``mc`` there) draw
+        the same coins."""
+        if past == "width-cap":
+            graph = uncertain_gnp(12, 0.2, (0.4, 0.9), seed=13)
+            config = PortfolioConfig(exact_width_cap=0)
+        else:
+            graph = uncertain_gnp(120, 0.03, (0.2, 0.8), seed=5)
+            config = None
+        engine = RQTreeEngine.build(graph, seed=1, planner_config=config)
+        exact = engine.query([0], 0.2, method="exact", num_samples=400, seed=5)
+        mc = engine.query([0], 0.2, method="mc", num_samples=400, seed=5)
+        assert exact.estimator == "mc"
+        assert len(exact.candidate_result.candidates) > 1
+        assert exact.nodes == mc.nodes
+        assert exact.statuses == mc.statuses
+        assert exact.estimates == mc.estimates
+        assert exact.worlds_used == mc.worlds_used
+
     def test_state_budget_trips_mid_computation(self, parity_graph):
         """The width probe can pass while the traversal still explodes;
         the in-flight state budget must catch that and fall back."""

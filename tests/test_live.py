@@ -30,7 +30,6 @@ import pytest
 
 from repro.accel.csr import CSRGraph, csr_snapshot
 from repro.core.engine import RQTreeEngine
-from repro.core.maintenance import DynamicRQTreeEngine
 from repro.errors import InvalidProbabilityError, NodeNotFoundError
 from repro.graph.generators import nethept_like, uncertain_gnp
 from repro.live import (
@@ -357,18 +356,16 @@ class TestLiveSingleEngine:
             assert live.epoch == 0
 
     def test_maintainer_degrades_under_deadline_never_raises(self):
-        """Satellite: incremental maintenance under a QueryBudget.
+        """An updated engine under a QueryBudget.
 
-        A maintained engine that has absorbed damage must honour the
+        An engine whose graph has absorbed updates must honour the
         budget contract exactly like a frozen one: an expired deadline
         produces a degraded answer, never an exception.
         """
-        maintainer = DynamicRQTreeEngine(
-            nethept_like(n=200, seed=9), seed=3
-        )
-        maintainer.apply(_stream(maintainer.graph.copy(), 80, seed=4))
+        engine = RQTreeEngine.build(nethept_like(n=200, seed=9), seed=3)
+        engine.apply(_stream(engine.graph.copy(), 80, seed=4))
         for deadline in (1e-9, 1e-6, 1e-4):
-            result = maintainer.query(
+            result = engine.query(
                 [0, 3], 0.3, method="mc", num_samples=400, seed=11,
                 budget=QueryBudget(deadline_seconds=deadline),
             )
@@ -376,7 +373,7 @@ class TestLiveSingleEngine:
             if result.degraded:
                 assert result.degraded_reason
         # And with room to breathe the answer is not degraded.
-        ok = maintainer.query(
+        ok = engine.query(
             [0, 3], 0.3, method="lb",
             budget=QueryBudget(deadline_seconds=60.0),
         )

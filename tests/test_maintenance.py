@@ -1,11 +1,12 @@
-"""Tests for incremental index maintenance (DynamicRQTreeEngine)."""
+"""Tests for cluster splitting, branching factors, and arc updates
+applied to a built index (``RQTreeEngine.apply``)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro import DynamicRQTreeEngine, RQTreeEngine, UncertainGraph
-from repro.core.builder import build_rqtree, rebuild_subtree, split_cluster
+from repro import RQTreeEngine, UncertainGraph
+from repro.core.builder import build_rqtree, split_cluster
 from repro.graph.exact import exact_reliability_search
 from repro.graph.generators import nethept_like, uncertain_gnp, uncertain_path
 
@@ -70,123 +71,73 @@ class TestBranchingFactor:
             assert answer <= truth  # LB: no false positives
 
 
-class TestRebuildSubtree:
-    def test_rebuild_root_equivalent_to_full_build(self, grid_graph):
-        tree, _ = build_rqtree(grid_graph, seed=0)
-        rebuilt = rebuild_subtree(grid_graph, tree, tree.root, seed=1)
-        rebuilt.validate()
-        assert rebuilt.num_clusters == tree.num_clusters
-
-    def test_rebuild_preserves_other_branches(self, grid_graph):
-        tree, _ = build_rqtree(grid_graph, seed=0)
-        target = tree.clusters[tree.root].children[0]
-        sibling = tree.clusters[tree.root].children[1]
-        sibling_members = tree.clusters[sibling].members
-        rebuilt = rebuild_subtree(grid_graph, tree, target, seed=5)
-        rebuilt.validate()
-        # The sibling cluster still exists with identical membership.
-        found = any(
-            c.members == sibling_members for c in rebuilt.clusters
-        )
-        assert found
-
-    def test_rebuild_bad_index_rejected(self, grid_graph):
-        tree, _ = build_rqtree(grid_graph, seed=0)
-        with pytest.raises(ValueError):
-            rebuild_subtree(grid_graph, tree, 10**6)
-
-    def test_rebuilt_tree_answers_queries(self, grid_graph):
-        tree, _ = build_rqtree(grid_graph, seed=0)
-        target = tree.clusters[tree.root].children[0]
-        rebuilt = rebuild_subtree(grid_graph, tree, target, seed=2)
-        engine_a = RQTreeEngine(grid_graph, tree)
-        engine_b = RQTreeEngine(grid_graph, rebuilt)
-        # LB answers are clustering-independent (exactness guarantee).
-        assert engine_a.query(0, 0.4).nodes == engine_b.query(0, 0.4).nodes
-
-
 class TestDynamicEngine:
-    def _fresh(self, n=60, seed=2, threshold=0.25):
-        graph = nethept_like(n=n, seed=seed)
-        return DynamicRQTreeEngine(
-            graph, damage_threshold=threshold, seed=seed
-        )
+    """An engine whose graph changes through ``apply`` while its tree
+    stays the one built at start-up."""
+
+    def _fresh(self, n=60, seed=2):
+        return RQTreeEngine.build(nethept_like(n=n, seed=seed), seed=seed)
+
+    def _cross_top_split(self, engine, count=12):
+        tree = engine.tree
+        root = tree.clusters[tree.root]
+        left = sorted(tree.clusters[root.children[0]].members)
+        right = sorted(tree.clusters[root.children[1]].members)
+        engine.apply([
+            ("set", left[i % len(left)], right[i % len(right)], 0.8)
+            for i in range(count)
+        ])
+        return left, right
 
     def test_queries_work_out_of_the_box(self):
-        dyn = self._fresh()
-        result = dyn.query(0, 0.5)
+        engine = self._fresh()
+        result = engine.query(0, 0.5)
         assert 0 in result.nodes
 
     def test_add_arc_visible_to_queries(self):
         g = UncertainGraph(4)
         g.add_arc(0, 1, 0.9)
-        dyn = DynamicRQTreeEngine(g, seed=0)
-        assert 3 not in dyn.query(0, 0.5).nodes
-        dyn.add_arc(1, 3, 0.95)
-        assert 3 in dyn.query(0, 0.5).nodes
-        assert dyn.stats.arcs_added == 1
+        engine = RQTreeEngine.build(g, seed=0)
+        assert 3 not in engine.query(0, 0.5).nodes
+        assert engine.apply([("set", 1, 3, 0.95)]) == 1
+        assert 3 in engine.query(0, 0.5).nodes
 
     def test_remove_arc_visible_to_queries(self):
         g = UncertainGraph(3)
         g.add_arc(0, 1, 0.9)
         g.add_arc(1, 2, 0.9)
-        dyn = DynamicRQTreeEngine(g, seed=0)
-        assert 2 in dyn.query(0, 0.5).nodes
-        dyn.remove_arc(1, 2)
-        assert 2 not in dyn.query(0, 0.5).nodes
-        assert dyn.stats.arcs_removed == 1
+        engine = RQTreeEngine.build(g, seed=0)
+        assert 2 in engine.query(0, 0.5).nodes
+        assert engine.apply([("delete", 1, 2)]) == 1
+        assert 2 not in engine.query(0, 0.5).nodes
+        # Deleting an absent arc is a no-op.
+        assert engine.apply([("delete", 1, 2)]) == 0
 
     def test_update_probability(self):
         g = UncertainGraph(2)
         g.add_arc(0, 1, 0.9)
-        dyn = DynamicRQTreeEngine(g, seed=0)
-        dyn.update_probability(0, 1, 0.2)
-        assert dyn.graph.probability(0, 1) == pytest.approx(0.2)
-        assert 1 not in dyn.query(0, 0.5).nodes
-
-    def test_heavy_updates_trigger_rebuild(self):
-        dyn = self._fresh(n=40, threshold=0.05)
-        # Hammer arcs across the top split until a rebuild fires.
-        tree = dyn.tree
-        left = sorted(tree.clusters[tree.clusters[tree.root].children[0]].members)
-        right = sorted(tree.clusters[tree.clusters[tree.root].children[1]].members)
-        for i in range(12):
-            dyn.add_arc(left[i % len(left)], right[i % len(right)], 0.8)
-        assert dyn.stats.subtree_rebuilds >= 1
+        engine = RQTreeEngine.build(g, seed=0)
+        engine.apply([("set", 0, 1, 0.2)])
+        assert engine.graph.probability(0, 1) == pytest.approx(0.2)
+        assert 1 not in engine.query(0, 0.5).nodes
 
     def test_rebuilt_index_is_valid_and_correct(self):
-        dyn = self._fresh(n=40, threshold=0.05)
-        tree = dyn.tree
-        left = sorted(tree.clusters[tree.clusters[tree.root].children[0]].members)
-        right = sorted(tree.clusters[tree.clusters[tree.root].children[1]].members)
-        for i in range(12):
-            dyn.add_arc(left[i % len(left)], right[i % len(right)], 0.8)
-        dyn.tree.validate()
-        # LB query still never returns false positives (spot-check with
-        # MC at high sample count on a few nodes).
-        result = dyn.query(left[0], 0.6)
+        engine = self._fresh(n=40)
+        left, _ = self._cross_top_split(engine)
+        engine.tree.validate()
+        # The start-up tree still answers: a source is always confirmed.
+        result = engine.query(left[0], 0.6)
         assert left[0] in result.nodes
 
-    def test_force_rebuild(self):
-        dyn = self._fresh()
-        before = dyn.stats.subtree_rebuilds
-        dyn.force_rebuild()
-        assert dyn.stats.subtree_rebuilds == before + 1
-        dyn.tree.validate()
-
     def test_lb_answers_match_static_rebuild(self):
-        # After a batch of updates, the dynamic engine's LB answers must
-        # equal a from-scratch engine's on the same mutated graph
-        # (LB answers are clustering-independent).
-        dyn = self._fresh(n=50, threshold=0.3)
-        updates = [(1, 40, 0.9), (2, 30, 0.7), (5, 45, 0.6)]
-        for u, v, p in updates:
-            dyn.add_arc(u, v, p)
-        static = RQTreeEngine.build(dyn.graph, seed=11)
+        # After a batch of updates, the engine's LB answers must equal a
+        # from-scratch engine's on the same mutated graph (LB answers
+        # are clustering-independent).
+        engine = self._fresh(n=50)
         for s in (1, 2, 5):
-            assert dyn.query(s, 0.5).nodes == static.query(s, 0.5).nodes
-
-    def test_invalid_threshold(self):
-        g = UncertainGraph(2)
-        with pytest.raises(ValueError):
-            DynamicRQTreeEngine(g, damage_threshold=0.0)
+            engine.query(s, 0.5)  # cache bounds that the updates outlive
+        engine.apply([("set", 1, 40, 0.9), ("set", 2, 30, 0.7),
+                      ("set", 5, 45, 0.6)])
+        static = RQTreeEngine.build(engine.graph, seed=11)
+        for s in (1, 2, 5):
+            assert engine.query(s, 0.5).nodes == static.query(s, 0.5).nodes

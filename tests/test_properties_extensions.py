@@ -2,8 +2,8 @@
 
 Companion to ``test_properties.py``: universally-quantified checks for
 the functionality added beyond the paper's core (hop bounds, caching
-transparency, dynamic maintenance, transforms, condensation, variance
-reduction).
+transparency, arc updates on a built index, transforms, condensation,
+variance reduction).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import DynamicRQTreeEngine, RQTreeEngine, UncertainGraph
+from repro import RQTreeEngine, UncertainGraph
 from repro.graph.condense import contract_certain_sccs
 from repro.graph.exact import (
     exact_hop_reliability,
@@ -26,6 +26,7 @@ from repro.graph.transforms import (
     scale_probabilities,
     threshold_backbone,
 )
+from repro.live.updates import apply_to_graph, normalize_updates
 from repro.reliability.variance_reduction import stratified_reliability
 from repro.service import ReliabilityService
 
@@ -159,18 +160,16 @@ def test_cached_engine_answers_match_uncached(g, eta):
     st.floats(0.2, 0.8),
 )
 def test_dynamic_engine_matches_fresh_build_after_updates(g, updates, eta):
-    dyn = DynamicRQTreeEngine(g.copy(), seed=0, damage_threshold=0.1)
+    engine = RQTreeEngine.build(g.copy(), seed=0)
+    engine.query(0, eta)  # cache bounds that the updates outlive
+    n = g.num_nodes
+    ops = [("set", u % n, v % n, p) for u, v, p in updates if u % n != v % n]
+    engine.apply(ops)
     applied = g.copy()
-    for u, v, p in updates:
-        u %= g.num_nodes
-        v %= g.num_nodes
-        if u == v:
-            continue
-        dyn.add_arc(u, v, p)
-        applied.add_arc(u, v, p)
+    apply_to_graph(applied, normalize_updates(ops))
     static = RQTreeEngine.build(applied, seed=99)
     # LB answers are clustering-independent: they must agree exactly.
-    assert dyn.query(0, eta).nodes == static.query(0, eta).nodes
+    assert engine.query(0, eta).nodes == static.query(0, eta).nodes
 
 
 @COMMON

@@ -102,21 +102,16 @@ class TestStatistics:
         assert _manual_tree().storage_size_estimate() > 0
 
     def test_height_is_max_cluster_depth_however_built(self, medium_graph):
-        from repro.core.builder import build_rqtree, rebuild_subtree
+        from repro.core.builder import build_rqtree
 
         def max_depth(tree):
             return max(c.depth for c in tree.clusters)
 
         built, _ = build_rqtree(medium_graph, seed=0)
         assert built.height == max_depth(built) > 0
-        # Rebuild a deep internal cluster's branch: the height follows
-        # the new branch, whatever it is.
-        deep = max(
-            (c for c in built.clusters if c.children), key=lambda c: c.depth
-        )
-        for index in (deep.index, built.root):
-            rebuilt = rebuild_subtree(medium_graph, built, index, seed=3)
-            assert rebuilt.height == max_depth(rebuilt)
+        for options in ({"branching": 4}, {"strategy": "random"}):
+            other, _ = build_rqtree(medium_graph, seed=3, **options)
+            assert other.height == max_depth(other)
         restored = RQTree.from_json(built.to_json())
         assert restored.height == max_depth(restored) == built.height
         assert RQTree(3).height == 0

@@ -71,8 +71,8 @@ def test_negative_roots_are_distinct_streams():
 
 def test_scheme_is_pinned():
     # Frozen expected values: a change here silently reshuffles every
-    # derived stream in the library (harness workloads, maintenance
-    # rebuilds, service seeds), so it must be a deliberate decision.
+    # derived stream in the library (harness workloads, shard builds,
+    # service seeds), so it must be a deliberate decision.
     assert derive_seed(0, "pin") == derive_seed(0, "pin")
     pinned = np.random.SeedSequence(
         [0, int.from_bytes(__import__("hashlib").sha256(b"pin").digest()[:8],
