@@ -1,6 +1,6 @@
 """SLO under production-shaped traffic: the loadgen harness as a bench.
 
-Where ``bench_service`` and ``bench_transport`` measure the serving
+Where ``bench_shards`` and ``bench_transport`` measure the serving
 stack under a uniform closed-loop hammer, this bench asks the
 question an operator actually has: *with production-shaped traffic —
 Zipf-skewed sources, a diurnal rate curve, a 10% update stream, and a

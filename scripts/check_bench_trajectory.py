@@ -3,7 +3,7 @@
 
 Usage::
 
-    python scripts/check_bench_trajectory.py BENCH_service.json [...]
+    python scripts/check_bench_trajectory.py BENCH_shards.json [...]
 
 Each named file (a freshly-written quick-mode ``BENCH_*.json`` at the
 repo root) is compared against the committed baseline of the same name

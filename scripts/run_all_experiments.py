@@ -48,7 +48,6 @@ REPORT_ORDER = [
     ("Distance-constrained queries", "hop_constrained"),
     ("Verification ladder — lb / lb+ / mc", "verification_ladder"),
     ("Engine hardening — graceful degradation", "degradation"),
-    ("Serving layer — service throughput", "service"),
     ("Serving layer — sharded scatter-gather", "shards"),
     ("Serving layer — shard transport", "transport"),
     ("Self-healing — supervisor under faults", "supervisor"),

@@ -12,9 +12,8 @@ runs that tally as bulk numpy work on the candidate subgraph:
 * :mod:`repro.accel.mc_kernel` — :class:`ReachPlan` (the candidate
   subgraph in local ids) and the batch-of-worlds frontier-expansion
   kernel :func:`sample_reach_batch` (packed ``uint64`` world bits,
-  bulk coin flips);
-* :mod:`repro.accel.coins` — shared, seed-identical coin blocks for
-  cross-query world batching.
+  bulk coin flips: each run draws its own coins from its own
+  ``default_rng(seed)``).
 
 Failure contract
 ----------------

@@ -42,17 +42,18 @@ counts and per-world reached-set sizes are accumulated across chunks.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from ..graph.uncertain import UncertainGraph
 from ..resilience.faultinject import fault_point
-from .coins import draw_coins, packed_columns
 from .csr import CSRGraph, csr_snapshot
 
-__all__ = ["BatchReachResult", "ReachPlan", "sample_reach_batch"]
+__all__ = [
+    "BatchReachResult", "ReachPlan", "draw_coins", "pack_world_bits",
+    "packed_columns", "sample_reach_batch",
+]
 
 #: Upper bound on (worlds per chunk) x arcs: the chunk's float32
 #: uniform draw is ``4 * m_local * W`` bytes, so 16M slots caps the
@@ -76,17 +77,11 @@ class ReachPlan:
         Arc existence probabilities, in the same order.  float32: ~2x
         cheaper uniforms, and the 2^-24 rounding of a probability is
         far below any Monte-Carlo resolution.
-    ``key``
-        Digest of ``nodes``: equal for equal candidate sets, so shared
-        coin blocks can keep one stream per candidate set.
-    ``version`` / ``epoch``
-        The graph generation the plan was extracted from.
     """
 
     __slots__ = (
         "nodes", "num_nodes", "num_arcs", "predecessors", "targets",
-        "probs_f32", "segment_starts", "has_in", "key",
-        "version", "epoch",
+        "probs_f32", "segment_starts", "has_in",
     )
 
     def __init__(
@@ -132,9 +127,6 @@ class ReachPlan:
         self.segment_starts = (np.cumsum(sub_in_degrees) - sub_in_degrees)[
             self.has_in
         ]
-        self.key = hashlib.blake2b(nodes.tobytes(), digest_size=16).digest()
-        self.version = csr.version
-        self.epoch = csr.epoch
 
     def local_ids(self, nodes: Iterable[int]) -> np.ndarray:
         """Local ids of the allowed members of *nodes* (others dropped)."""
@@ -156,10 +148,6 @@ class ReachPlan:
         probs = self.probs_f32.copy()
         probs[list(arcs)] = [1.0 if flag else 0.0 for flag in present]
         plan.probs_f32 = probs
-        # Other coins, other stream: never share one with the parent.
-        plan.key = hashlib.blake2b(
-            self.key + probs.tobytes(), digest_size=16
-        ).digest()
         return plan
 
 
@@ -192,6 +180,48 @@ class BatchReachResult:
         self.num_worlds = int(world_sizes.shape[0])
 
 
+def packed_columns(num_worlds: int) -> int:
+    """Packed ``uint8`` columns holding *num_worlds* world bits.
+
+    ``ceil(num_worlds / 8)`` rounded up to a multiple of 8 bytes, so a
+    packed row is always view-castable to the kernel's ``uint64``
+    words.  The pad bytes are zero — phantom worlds in which no coin
+    ever lands heads — and are sliced off when the kernel unpacks its
+    result.
+    """
+    return ((num_worlds + 63) // 64) * 8
+
+
+def pack_world_bits(raw: np.ndarray) -> np.ndarray:
+    """Bit-pack boolean world rows into zero-padded ``uint8`` rows.
+
+    Exactly ``np.packbits(raw, axis=1)`` followed by zero-padding each
+    row to :func:`packed_columns` width.
+    """
+    packed = np.packbits(raw, axis=1)
+    width = packed_columns(raw.shape[1])
+    if packed.shape[1] == width:
+        return packed
+    padded = np.zeros((packed.shape[0], width), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    return padded
+
+
+def draw_coins(
+    rng: np.random.Generator, plan: ReachPlan, size: int
+) -> np.ndarray:
+    """One chunk of packed coins for *plan*'s arcs: ``size`` worlds.
+
+    One float32 uniform per (arc, world), compared against the arc's
+    probability and bit-packed: ``uint8[plan.num_arcs,
+    packed_columns(size)]``.
+    """
+    return pack_world_bits(
+        rng.random((plan.num_arcs, size), dtype=np.float32)
+        < plan.probs_f32[:, None]
+    )
+
+
 def _chunk_size(plan: ReachPlan, num_worlds: int) -> int:
     footprint = max(plan.num_nodes, plan.num_arcs, 1)
     chunk = _TARGET_SLOTS // footprint
@@ -204,8 +234,6 @@ def _simulate_chunk(
     num_worlds: int,
     rng: np.random.Generator,
     max_hops: Optional[int],
-    coin_source=None,
-    world_start: int = 0,
 ) -> np.ndarray:
     """Advance *num_worlds* worlds to fixpoint; returns the reached
     bits as ``uint8[n_local, num_worlds]``.
@@ -213,8 +241,8 @@ def _simulate_chunk(
     Word column ``b`` of node row ``v`` holds worlds ``64b .. 64b+63``,
     so every bitwise op below advances sixty-four worlds at once.
     Trailing pad bits are phantom worlds whose coins pack to 0
-    (:func:`~repro.accel.coins.pack_world_bits` zero-pads), so nothing
-    propagates in them and they are sliced off at the end.
+    (:func:`pack_world_bits` zero-pads), so nothing propagates in them
+    and they are sliced off at the end.
     """
     visited = np.zeros(
         (plan.num_nodes, packed_columns(num_worlds)), dtype=np.uint8
@@ -229,13 +257,8 @@ def _simulate_chunk(
     ):
         # One Bernoulli coin per (arc, world), in the plan's arc order
         # (grouped by target) so the reduceat below needs no
-        # permutation.  A coin_source (repro.accel.coins.CoinBlock)
-        # supplies the same packed bits from a shared stream instead.
-        if coin_source is not None:
-            coins = coin_source.coins(plan, world_start, num_worlds)
-        else:
-            coins = draw_coins(rng, plan, num_worlds)
-        coins = coins.view(np.uint64)
+        # permutation.
+        coins = draw_coins(rng, plan, num_worlds).view(np.uint64)
         frontier = visited_w.copy()
         new = np.empty_like(frontier)
         depth = 0
@@ -280,8 +303,6 @@ def sample_reach_batch(
     rng: np.random.Generator,
     allowed: Optional[Iterable[int]] = None,
     max_hops: Optional[int] = None,
-    coin_source=None,
-    world_offset: int = 0,
 ) -> BatchReachResult:
     """Sample *num_worlds* possible worlds of the candidate subgraph.
 
@@ -306,17 +327,6 @@ def sample_reach_batch(
         Optional hop budget (distance-constrained reachability): level
         ``d`` of the frontier is the set first reached after ``d`` hops,
         so capping the levels is exact.
-    coin_source:
-        Optional :class:`repro.accel.coins.CoinBlock` supplying the
-        packed arc coins from a shared stream instead of drawing them
-        from *rng*.  The block's bits are identical to a private draw
-        from the same seed over the same candidate set, so answers are
-        byte-identical with and without sharing; *rng* is left
-        untouched when a source is used.  The run holds the block's
-        stream open (``open`` / ``close``) while it reads it.
-    world_offset:
-        Index of this call's first world within the coin source's
-        stream (continuation calls pass their accumulated world count).
     """
     if num_worlds <= 0:
         raise ValueError(f"num_worlds must be positive, got {num_worlds}")
@@ -337,21 +347,12 @@ def sample_reach_batch(
     world_sizes = np.empty(num_worlds, dtype=np.int64)
     chunk = _chunk_size(plan, num_worlds)
     done = 0
-    if coin_source is not None:
-        coin_source.open(plan)
-    try:
-        while done < num_worlds:
-            fault_point("mc.kernel.chunk")
-            registry.counter("accel.kernel_chunks").inc()
-            size = min(chunk, num_worlds - done)
-            bits = _simulate_chunk(
-                plan, source_idx, size, rng, max_hops,
-                coin_source=coin_source, world_start=world_offset + done,
-            )
-            counts += bits.sum(axis=1, dtype=np.int64)
-            world_sizes[done:done + size] = bits.sum(axis=0, dtype=np.int64)
-            done += size
-    finally:
-        if coin_source is not None:
-            coin_source.close(plan)
+    while done < num_worlds:
+        fault_point("mc.kernel.chunk")
+        registry.counter("accel.kernel_chunks").inc()
+        size = min(chunk, num_worlds - done)
+        bits = _simulate_chunk(plan, source_idx, size, rng, max_hops)
+        counts += bits.sum(axis=1, dtype=np.int64)
+        world_sizes[done:done + size] = bits.sum(axis=0, dtype=np.int64)
+        done += size
     return BatchReachResult(plan.nodes, counts, world_sizes)

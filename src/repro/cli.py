@@ -185,8 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-ttl", type=float, default=30.0,
                        help="result-cache TTL in seconds")
     serve.add_argument("--cache-capacity", type=int, default=1024)
-    serve.add_argument("--no-batching", action="store_true",
-                       help="disable cross-query world batching (A/B)")
     serve.add_argument("--shards", type=int, default=None,
                        help="split the graph into K partition-aligned "
                        "shards, one engine process each")
@@ -608,7 +606,6 @@ def _build_service(args: argparse.Namespace):
         workers=args.workers,
         admission=admission,
         cache=cache,
-        enable_batching=not getattr(args, "no_batching", False),
         shards=args.shards,
         shard_mode=args.shard_mode,
         shard_transport=getattr(args, "shard_transport", "shm"),

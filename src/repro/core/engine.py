@@ -292,7 +292,6 @@ class RQTreeEngine:
         multi_source_mode: str = "greedy",
         max_hops: Optional[int] = None,
         budget: Optional[QueryBudget] = None,
-        coin_source=None,
     ) -> QueryResult:
         """Answer the reliability-search query ``RS(S, eta)``.
 
@@ -335,13 +334,6 @@ class RQTreeEngine:
             :class:`QueryResult` with ``degraded=True`` and a per-node
             status for every candidate.  ``budget=None`` reproduces the
             unbudgeted (seed) behaviour exactly.
-        coin_source:
-            Optional :class:`repro.accel.coins.CoinBlock` supplying the
-            MC verifier's packed arc coins from a shared, replayable
-            stream (the serving layer's cross-query world batching).
-            Never changes the answer: the block's bits are exactly what
-            a private draw at *seed* would produce.  Ignored for
-            non-sampling methods.
         """
         source_list = self._normalize_sources(sources)
         validate_method(method, max_hops=max_hops)
@@ -369,7 +361,6 @@ class RQTreeEngine:
             seed=seed,
             max_hops=max_hops,
             clock=clock,
-            coin_source=coin_source,
             config=self.planner.config,
         )
         if method == AUTO:

@@ -397,7 +397,6 @@ def verify_sampling(
     seed: Optional[int] = None,
     max_hops: Optional[int] = None,
     budget: Optional[Union[QueryBudget, BudgetClock]] = None,
-    coin_source=None,
 ) -> Set[int]:
     """Monte-Carlo verification on the candidate-induced subgraph.
 
@@ -416,7 +415,7 @@ def verify_sampling(
     report = verify_sampling_report(
         graph, sources, eta, candidates,
         num_samples=num_samples, seed=seed, max_hops=max_hops,
-        budget=clock, coin_source=coin_source,
+        budget=clock,
     )
     return _raise_if_partial(report, clock)
 
@@ -430,7 +429,6 @@ def verify_sampling_report(
     seed: Optional[int] = None,
     max_hops: Optional[int] = None,
     budget: Optional[Union[QueryBudget, BudgetClock]] = None,
-    coin_source=None,
 ) -> VerificationReport:
     """:func:`verify_sampling` with per-node statuses, chunked sampling,
     early stopping, and graceful budget handling.
@@ -454,12 +452,6 @@ def verify_sampling_report(
     world cap is exhausted *without* the deadline expiring settles the
     remaining undecided nodes by the seed's count-threshold rule — that
     is a completed (coarser) estimate, not a partial one.
-
-    *coin_source* forwards to the estimator (cross-query world sharing;
-    see :class:`repro.graph.sampling.ReachabilityFrequencyEstimator`).
-    The serving layer only supplies it for unbudgeted queries — a
-    budgeted run's chunk partition depends on wall-clock load, so its
-    coins would not line up across queries.
     """
     source_set = _check(eta, sources)
     if num_samples <= 0:
@@ -474,7 +466,6 @@ def verify_sampling_report(
         seed=seed,
         allowed=subset,
         max_hops=max_hops,
-        coin_source=coin_source,
     )
 
     if clock is None:

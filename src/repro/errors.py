@@ -215,8 +215,8 @@ class SamplingKernelError(ReproError, RuntimeError):
 
     Raised by :meth:`repro.graph.sampling.ReachabilityFrequencyEstimator.run`
     around any failure of the CSR snapshot or the batched kernel (a
-    defect, exhausted memory, a misaligned shared coin stream, or a
-    fault injected at ``"csr.snapshot"`` / ``"mc.kernel.chunk"``).  The
+    defect, exhausted memory, or a fault injected at
+    ``"csr.snapshot"`` / ``"mc.kernel.chunk"``).  The
     query engines never let it escape a query: the answer degrades to
     sources confirmed and every other candidate unverified, with the
     error named in ``degraded_reason``.  Detection and ranking

@@ -52,9 +52,6 @@ class EstimateRequest:
     seed: Optional[int] = None
     max_hops: Optional[int] = None
     clock: Optional[BudgetClock] = None
-    #: Shared packed-coin stream (cross-query world batching); only the
-    #: chunked-MC estimator consumes it.
-    coin_source: object = None
     config: PortfolioConfig = field(default_factory=lambda: DEFAULT_CONFIG)
 
     def with_(self, **changes: object) -> "EstimateRequest":
@@ -99,8 +96,6 @@ class Estimator(abc.ABC):
     #: Whether the distance-constrained variant (``max_hops``) is
     #: supported.
     supports_max_hops: bool = False
-    #: Whether a shared coin stream (``coin_source``) is consumed.
-    supports_coin_source: bool = False
     #: True when answers are zero-variance (short-circuits Wilson
     #: stopping entirely).
     exact: bool = False

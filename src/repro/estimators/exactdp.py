@@ -282,9 +282,7 @@ class ExactEstimator(Estimator):
         seed = request.seed
         if seed is None:
             seed = derive_seed(0, "estimators", "exact-fallback")
-        report = MonteCarloEstimator().estimate(
-            request.with_(seed=seed, coin_source=None)
-        )
+        report = MonteCarloEstimator().estimate(request.with_(seed=seed))
         report.estimator = MonteCarloEstimator.name
         report.notes = f"exact fallback: {why}; ran seeded mc instead"
         return report

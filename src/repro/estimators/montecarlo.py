@@ -5,8 +5,7 @@ Delegates to :func:`repro.core.verification.verify_sampling_report`
 with an identical call sequence, so the random stream is consumed
 exactly as the pre-portfolio engine consumed it: unbudgeted runs are
 one ``estimator.run(K)`` call, budgeted runs chunk with Wilson-interval
-early stopping.  This is the only estimator that consumes a shared
-``coin_source`` (cross-query world batching).
+early stopping.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ class MonteCarloEstimator(Estimator):
     name = "mc"
     samples_worlds = True
     supports_max_hops = True
-    supports_coin_source = True
 
     def cost(self, stats: SubgraphStats, request: EstimateRequest) -> float:
         return predicted_sampling_seconds(stats, request)
@@ -59,7 +57,6 @@ class MonteCarloEstimator(Estimator):
             seed=request.seed,
             max_hops=request.max_hops,
             budget=request.clock,
-            coin_source=request.coin_source,
         )
         report.estimator = self.name
         return report

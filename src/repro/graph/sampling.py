@@ -55,12 +55,6 @@ class ReachabilityFrequencyEstimator:
     max_hops:
         Optional hop budget (distance-constrained reachability, Jin et
         al. [20]).
-    coin_source:
-        A :class:`repro.accel.coins.CoinBlock` from which the kernel
-        reads its packed arc coins instead of drawing privately — the
-        serving layer's cross-query world batching.  The block replays
-        the exact bits a private ``default_rng(seed)`` draw over the
-        same candidate set would produce, so results are unchanged.
     plan:
         A prebuilt :class:`~repro.accel.ReachPlan` to sample instead of
         the *allowed* subgraph (recursive stratified sampling passes
@@ -79,14 +73,12 @@ class ReachabilityFrequencyEstimator:
         seed: Optional[int] = None,
         allowed: Optional[Iterable[int]] = None,
         max_hops: Optional[int] = None,
-        coin_source=None,
         plan: Optional[ReachPlan] = None,
     ) -> None:
         self._graph = graph
         self._sources = list(sources)
         self._allowed = allowed
         self._max_hops = max_hops
-        self._coin_source = coin_source
         self._plan = plan
         self._rng = np.random.default_rng(seed)
         self._counts: Optional[np.ndarray] = None
@@ -123,8 +115,6 @@ class ReachabilityFrequencyEstimator:
                 num_worlds,
                 self._rng,
                 max_hops=self._max_hops,
-                coin_source=self._coin_source,
-                world_offset=self._num_worlds,
             )
         except Exception as error:
             raise SamplingKernelError(error) from error

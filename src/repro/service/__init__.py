@@ -2,7 +2,7 @@
 
 Everything above a single blocking :meth:`RQTreeEngine.query` call
 lives here: one shared engine served through a request queue and a
-worker pool, with cross-query world batching, admission control, a
+worker pool, with admission control, single-flight deduplication, a
 TTL'd result cache, a metrics registry, and a stdlib-only asyncio HTTP
 JSON frontend.
 
@@ -11,10 +11,7 @@ JSON frontend.
   built-in instrumentation records to);
 * :mod:`repro.service.cache` — :class:`TTLResultCache`, the one
   result cache, keyed on the full query signature including
-  ``graph.version`` and the live epoch;
-* :mod:`repro.service.batcher` — :class:`WorldBatcher`, sharing one
-  sampled batch of worlds (a :class:`repro.accel.coins.CoinBlock`)
-  between concurrent queries with the same sampling signature;
+  ``graph.version`` (a live engine's published epoch);
 * :mod:`repro.service.pool` — :class:`WorkerPool` and
   :class:`AdmissionPolicy` (max in-flight, queue deadline,
   load-shedding into degraded answers);
@@ -47,7 +44,6 @@ __all__ = [
     "AioGateway",
     "AdmissionPolicy",
     "WorkerPool",
-    "WorldBatcher",
     "TTLResultCache",
     "retry_after_seconds",
 ]
@@ -58,7 +54,6 @@ _LAZY = {
     "AioGateway": ("aio_gateway", "AioGateway"),
     "AdmissionPolicy": ("pool", "AdmissionPolicy"),
     "WorkerPool": ("pool", "WorkerPool"),
-    "WorldBatcher": ("batcher", "WorldBatcher"),
     "TTLResultCache": ("cache", "TTLResultCache"),
     "retry_after_seconds": ("wire", "retry_after_seconds"),
 }

@@ -26,9 +26,9 @@ Endpoints
   (per-shard slice streaming, snapshot publication) never stalls the
   event loop's queries.
 * ``POST /batch`` — body ``{"queries": [<query body>, ...]}``; every
-  query is submitted up front (so they share admission, dedup, and
-  world batching like any concurrent burst) and results **stream** back
-  in request order as chunked newline-delimited JSON, each line the
+  query is submitted up front (so they share admission and dedup like
+  any concurrent burst) and results **stream** back in request order
+  as chunked newline-delimited JSON, each line the
   same wire object a ``/query`` reply carries (or
   ``{"error": ...}`` for an individually malformed entry).  A client
   can consume the first answers while later ones still compute.
@@ -524,9 +524,9 @@ class AioGateway:
         """``POST /batch``: submit all queries, stream results in order.
 
         Submitting everything before awaiting anything is what lets the
-        service's cross-query machinery (dedup, world batching,
-        admission) see the whole burst at once — exactly as if the
-        client had opened N connections, minus the N sockets.
+        service's cross-query machinery (dedup, admission) see the
+        whole burst at once — exactly as if the client had opened N
+        connections, minus the N sockets.
         """
         try:
             envelope = _decode_object(body)

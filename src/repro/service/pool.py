@@ -4,10 +4,9 @@ The serving layer's concurrency model is deliberately boring: one
 :class:`queue.Queue` of pending requests drained by N daemon threads,
 each running the full query pipeline to completion.  Reliability
 queries are CPU-bound and the engine releases the GIL only inside
-numpy, so threads buy *overlap* (the cross-query batcher needs
-concurrent same-key queries to share worlds) and *isolation of
-waiting* (slow queries don't block admission) rather than raw
-parallel speed-up.
+numpy, so threads buy *isolation of waiting* (slow queries don't
+block admission, and numpy-heavy sampling overlaps with the rest)
+rather than raw parallel speed-up.
 
 :class:`AdmissionPolicy` is where overload turns into degraded answers
 instead of timeouts: requests beyond ``max_in_flight`` (or older than

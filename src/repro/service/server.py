@@ -16,9 +16,8 @@ processes — the request path is identical either way):
   deterministic queries without touching the engine, and identical
   in-flight requests are *single-flighted* (followers piggyback on the
   leader's future instead of re-running the query);
-* eligible queries lease shared worlds from a
-  :class:`~repro.service.batcher.WorldBatcher`, so concurrent queries
-  with the same sampling signature draw their Monte-Carlo coins once;
+* every sampled query draws its own coins from its own seed, so no
+  query's answer depends on which others are in flight;
 * everything records into a :class:`MetricsRegistry`
   (:meth:`metrics_snapshot` merges it with the result cache's
   statistics).
@@ -44,7 +43,6 @@ from ..estimators import is_cacheable, validate_method
 from ..graph.uncertain import UncertainGraph
 from ..resilience.budget import QueryBudget
 from ..shard.engine import ShardedRQTreeEngine
-from .batcher import BatchKey, WorldBatcher
 from .cache import TTLResultCache
 from .metrics import MetricsRegistry, get_registry
 from .pool import AdmissionPolicy, WorkerPool
@@ -111,10 +109,6 @@ class ReliabilityService:
         Metrics registry; defaults to the process-global one, which is
         also where the engine's built-in instrumentation records — so
         one snapshot covers the whole pipeline.
-    enable_batching:
-        Whether eligible concurrent queries share sampled worlds.
-        Sharing never changes answers; disabling it exists for A/B
-        benchmarking.
     shards:
         ``None`` (default) serves the given engine directly.  A count
         ``K >= 1`` replaces it with a
@@ -156,8 +150,8 @@ class ReliabilityService:
         snapshots, streamed per-shard update slices, zero-downtime
         rebalancing); without shards a plain engine is wrapped in a
         :class:`~repro.live.LiveRQTreeEngine` reusing its index.
-        Result-cache keys carry the epoch, so answers cached before an
-        update can never serve after it.
+        Result-cache and single-flight keys carry the published epoch,
+        so answers cached before an update can never serve after it.
     """
 
     def __init__(
@@ -167,7 +161,6 @@ class ReliabilityService:
         admission: Optional[AdmissionPolicy] = None,
         cache: Optional[TTLResultCache] = None,
         registry: Optional[MetricsRegistry] = None,
-        enable_batching: bool = True,
         shards: Optional[int] = None,
         shard_mode: str = "process",
         shard_seed: int = 0,
@@ -220,8 +213,6 @@ class ReliabilityService:
         self._registry = registry
         self._cache = cache if cache is not None else TTLResultCache()
         self._admission = admission if admission is not None else AdmissionPolicy()
-        self._batcher = WorldBatcher(registry=registry)
-        self._enable_batching = enable_batching
         self._pool = WorkerPool(self._handle, workers=workers)
         self._lock = threading.Lock()
         self._in_flight = 0
@@ -396,32 +387,16 @@ class ReliabilityService:
                 metrics.gauge("service.in_flight").set(self._in_flight)
 
     def _execute(self, request: QueryRequest) -> QueryResult:
-        batch_key = None
-        coin_source = None
-        if self._enable_batching and WorldBatcher.eligible(
-            request.method, request.seed, request.budget
-        ):
-            batch_key = BatchKey(
-                graph_version=self._graph_generation(),
-                seed=request.seed,
-                num_worlds=request.num_samples,
-            )
-            coin_source = self._batcher.lease(batch_key)
-        try:
-            return self._engine.query(
-                request.sources,
-                request.eta,
-                method=request.method,
-                num_samples=request.num_samples,
-                seed=request.seed,
-                multi_source_mode=request.multi_source_mode,
-                max_hops=request.max_hops,
-                budget=request.budget,
-                coin_source=coin_source,
-            )
-        finally:
-            if batch_key is not None:
-                self._batcher.release(batch_key)
+        return self._engine.query(
+            request.sources,
+            request.eta,
+            method=request.method,
+            num_samples=request.num_samples,
+            seed=request.seed,
+            multi_source_mode=request.multi_source_mode,
+            max_hops=request.max_hops,
+            budget=request.budget,
+        )
 
     def _resolve(
         self,
@@ -488,13 +463,21 @@ class ReliabilityService:
         return getattr(self._engine, "tree_height", 0)
 
     def _graph_generation(self) -> "tuple":
-        """Generation stamp for cache and batch keys.
+        """Generation stamp for cache and single-flight keys.
 
-        Includes both the mutation version and the published epoch:
-        an update stream advances the epoch, and cached answers from
-        the previous generation must never be served against the new
-        one (epoch-scoped cache invalidation).
+        A live engine answers every query on the epoch its store has
+        published, so that epoch is the stamp.  The master graph is
+        not: an update mutates it and stamps it with the new epoch
+        *before* the snapshot is published, and a query admitted in
+        between runs on the old epoch — keyed on the master, its
+        answer would be filed under the new epoch and served after
+        the update returned.  A frozen engine queries its graph
+        directly, so that graph's mutation version and epoch are the
+        stamp.
         """
+        store = getattr(self._engine, "store", None)
+        if store is not None:
+            return ("published", store.current_epoch)
         graph = self._engine.graph
         return (graph.version, getattr(graph, "epoch", 0))
 
@@ -542,8 +525,6 @@ class ReliabilityService:
             "workers": self._pool.workers,
             "in_flight": in_flight,
             "queue_depth": self._pool.queue_depth,
-            "batching_enabled": self._enable_batching,
-            "active_coin_blocks": self._batcher.active_blocks,
             "result_cache": self._cache.stats.as_dict(),
             "result_cache_entries": len(self._cache),
         }

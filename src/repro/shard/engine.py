@@ -418,7 +418,6 @@ class ShardedRQTreeEngine:
         multi_source_mode: str = "greedy",
         max_hops: Optional[int] = None,
         budget: Optional[QueryBudget] = None,
-        coin_source=None,
     ) -> QueryResult:
         """Answer ``RS(S, eta)`` by scatter, gather, and refinement.
 
@@ -468,7 +467,7 @@ class ShardedRQTreeEngine:
             refine_start = time.perf_counter()
             refined = self._refine(
                 source_list, eta, method, num_samples, seed, max_hops,
-                clock, coin_source, gather, graph,
+                clock, gather, graph,
             )
             verification_seconds = time.perf_counter() - refine_start
             registry.histogram("shard.refine_seconds").observe(
@@ -647,7 +646,6 @@ class ShardedRQTreeEngine:
         seed: Optional[int],
         max_hops: Optional[int],
         clock: Optional[BudgetClock],
-        coin_source,
         gather: Dict[str, object],
         graph: Optional[UncertainGraph] = None,
     ) -> Dict[str, object]:
@@ -759,7 +757,6 @@ class ShardedRQTreeEngine:
                 seed=seed,
                 max_hops=max_hops,
                 clock=clock,
-                coin_source=coin_source,
                 config=self.planner.config,
             )
             report = run_estimate(get_estimator("exact"), request)
@@ -794,7 +791,6 @@ class ShardedRQTreeEngine:
             seed=seed,
             max_hops=max_hops,
             clock=clock,
-            coin_source=coin_source,
             config=self.planner.config,
         )
         if method == AUTO:

@@ -193,7 +193,9 @@ def test_plan_local_ids_follow_ascending_global_ids():
     plan = ReachPlan(csr, allowed)
     assert plan.nodes.tolist() == sorted(allowed)
     # Iteration order of the allowed set never changes the plan.
-    assert plan.key == ReachPlan(csr, reversed(allowed)).key
+    other = ReachPlan(csr, reversed(allowed))
+    for name in ("nodes", "predecessors", "targets", "probs_f32"):
+        assert np.array_equal(getattr(plan, name), getattr(other, name))
     arcs = {
         (int(plan.nodes[u]), int(plan.nodes[v]))
         for u, v in zip(plan.predecessors, plan.targets)
@@ -234,192 +236,26 @@ def test_world_sampler_seeded_sequences_unchanged():
 
 
 # ----------------------------------------------------------------------
-# Shared coin blocks (cross-query world batching)
+# Packed coin layout
 # ----------------------------------------------------------------------
-def test_coin_block_bits_match_private_draw():
+def test_draw_coins_bits_match_private_draw():
     g = uncertain_gnp(30, 0.2, seed=5)
     csr = csr_snapshot(g)
     plan = ReachPlan(csr)
-    from repro.accel.coins import CoinBlock
-
-    block = CoinBlock(seed=11, num_worlds=24)
-    shared = block.coins(plan, 0, 24)
+    packed = mc_kernel.draw_coins(np.random.default_rng(11), plan, 24)
     rng = np.random.default_rng(11)
     raw = (
         rng.random((csr.num_arcs, 24), dtype=np.float32)
         < csr.rev_probs_f32[:, None]
     )
-    # Identical to a private draw bit for bit: the packed bytes match
-    # np.packbits exactly and the pad columns (zero-filled to uint64
-    # lane width) carry no coins.
+    # The packed bytes match np.packbits of the float32 comparison bit
+    # for bit, and the pad columns (zero-filled to uint64 lane width)
+    # carry no coins.
     private = np.packbits(raw, axis=1)
-    assert np.array_equal(shared[:, : private.shape[1]], private)
-    assert not shared[:, private.shape[1]:].any()
-    from repro.accel.coins import pack_world_bits
-
-    assert np.array_equal(shared, pack_world_bits(raw))
-    assert block.draws == 1
-    # Second consumer reuses the cached chunk verbatim.
-    assert block.coins(plan, 0, 24) is shared
-    assert block.hits == 1
-
-
-def test_coin_block_sharing_preserves_batch_results():
-    g = uncertain_gnp(40, 0.25, seed=6)
-    from repro.accel.coins import CoinBlock
-
-    private = sample_reach_batch(g, [0, 3], 200, np.random.default_rng(21))
-    block = CoinBlock(seed=21, num_worlds=200)
-    shared_a = sample_reach_batch(
-        g, [0, 3], 200, np.random.default_rng(21), coin_source=block
-    )
-    # A different query sharing the same block: different sources and a
-    # hop budget, still byte-identical to its own private run.
-    shared_b = sample_reach_batch(
-        g, [5], 200, np.random.default_rng(21), coin_source=block, max_hops=2
-    )
-    private_b = sample_reach_batch(
-        g, [5], 200, np.random.default_rng(21), max_hops=2
-    )
-    assert np.array_equal(private.counts, shared_a.counts)
-    assert np.array_equal(private.world_sizes, shared_a.world_sizes)
-    assert np.array_equal(private_b.counts, shared_b.counts)
-
-
-def test_coin_block_keeps_one_stream_per_candidate_set():
-    g = uncertain_gnp(40, 0.25, seed=6)
-    from repro.accel.coins import CoinBlock
-
-    block = CoinBlock(seed=21, num_worlds=200)
-    regions = [set(range(0, 30)), set(range(10, 40)), set(range(0, 30))]
-    for allowed in regions:
-        private = sample_reach_batch(
-            g, [12], 200, np.random.default_rng(21), allowed=allowed
-        )
-        shared = sample_reach_batch(
-            g, [12], 200, np.random.default_rng(21), allowed=allowed,
-            coin_source=block,
-        )
-        # Each candidate set replays its own private stream exactly.
-        assert np.array_equal(private.counts, shared.counts)
-    # Two distinct sets drew; the repeated set reused its chunk.
-    assert block.draws == 2
-    assert block.hits == 1
-
-
-def test_coin_block_drops_idle_streams_past_its_budget_never_open_ones():
-    from repro.accel.coins import CoinBlock, packed_columns
-
-    g = uncertain_gnp(40, 0.25, seed=6)
-    plans = [
-        ReachPlan(csr_snapshot(g), range(lo, lo + 20)) for lo in range(0, 20, 4)
-    ]
-    # Room for two idle 64-world streams of the largest plan.
-    budget = 2 * max(plan.num_arcs for plan in plans) * packed_columns(64)
-    block = CoinBlock(seed=3, num_worlds=64, idle_bytes=budget)
-    block.open(plans[0])  # a run that stays open through the others
-    held = block.coins(plans[0], 0, 32)
-    for plan in plans[1:]:
-        block.open(plan)
-        block.coins(plan, 0, 64)
-        block.close(plan)
-        assert block.idle_nbytes <= budget
-    # The open stream plus two idle ones: the oldest two idle went.
-    assert block.coins(plans[0], 0, 32) is held
-    block.coins(plans[-1], 0, 64)
-    assert block.hits == 2
-    block.coins(plans[1], 0, 64)
-    assert block.draws == 6  # plans[1] was dropped: drawn again
-    block.coins(plans[0], 32, 32)  # the open run continues its stream
-    block.close(plans[0])
-    assert block.idle_nbytes <= budget
-    # Its two chunks nearly fill the budget alone: only it stays idle.
-    assert block.coins(plans[0], 0, 32) is held
-    block.coins(plans[-1], 0, 64)
-    assert block.draws == 8
-
-
-def test_coin_block_threaded_readers_keep_answers_and_budget():
-    import sys
-    import threading
-
-    from repro.accel.coins import CoinBlock, packed_columns
-
-    g = uncertain_gnp(60, 0.1, seed=12)
-    worlds = 9000  # three kernel chunks per run
-    regions = [range(lo, lo + 30) for lo in (0, 10, 20, 30)]
-    private = [
-        sample_reach_batch(
-            g, [region[1]], worlds, np.random.default_rng(4), allowed=region
-        ).counts
-        for region in regions
-    ]
-    largest = max(
-        ReachPlan(csr_snapshot(g), region).num_arcs for region in regions
-    )
-    # Room for about one and a half whole streams: idle streams are
-    # reopened and dropped constantly while other threads read others.
-    stream_bytes = largest * (2 * packed_columns(4096) + packed_columns(808))
-    budget = 3 * stream_bytes // 2
-    block = CoinBlock(seed=4, num_worlds=worlds, idle_bytes=budget)
-    failures = []
-
-    def reader(offset):
-        try:
-            for step in range(12):
-                index = (offset + step) % len(regions)
-                shared = sample_reach_batch(
-                    g, [regions[index][1]], worlds, np.random.default_rng(4),
-                    allowed=regions[index], coin_source=block,
-                )
-                if not np.array_equal(shared.counts, private[index]):
-                    failures.append(index)
-        except Exception as error:  # reported below, not swallowed
-            failures.append(error)
-
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [
-            threading.Thread(target=reader, args=(i,)) for i in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(previous)
-    assert not any(thread.is_alive() for thread in threads)
-    assert failures == []
-    assert all(stream.readers == 0 for stream in block._streams.values())
-    assert set(block._idle) == set(block._streams)
-    assert block.idle_nbytes == sum(block._idle.values()) <= budget
-
-
-def test_coin_block_rejects_mutated_graph():
-    g = uncertain_gnp(20, 0.3, seed=7)
-    from repro.accel.coins import CoinBlock
-
-    block = CoinBlock(seed=1, num_worlds=16)
-    block.coins(ReachPlan(csr_snapshot(g)), 0, 16)
-    g.add_arc(0, 19, 0.5)
-    with pytest.raises(RuntimeError, match="mutated"):
-        block.coins(ReachPlan(csr_snapshot(g)), 0, 16)
-
-
-def test_coin_block_rejects_misaligned_partition():
-    g = uncertain_gnp(20, 0.3, seed=8)
-    plan = ReachPlan(csr_snapshot(g))
-    from repro.accel.coins import CoinBlock
-
-    block = CoinBlock(seed=1, num_worlds=64)
-    block.coins(plan, 0, 32)
-    with pytest.raises(RuntimeError, match="misaligned"):
-        block.coins(plan, 0, 16)
-    with pytest.raises(RuntimeError, match="non-sequential"):
-        block.coins(plan, 48, 16)
-    with pytest.raises(ValueError, match="outside"):
-        block.coins(plan, 32, 64)
+    assert packed.shape == (csr.num_arcs, mc_kernel.packed_columns(24))
+    assert np.array_equal(packed[:, : private.shape[1]], private)
+    assert not packed[:, private.shape[1]:].any()
+    assert np.array_equal(packed, mc_kernel.pack_world_bits(raw))
 
 
 # ----------------------------------------------------------------------

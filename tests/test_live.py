@@ -835,6 +835,51 @@ class TestServiceLive:
             # cache hit from epoch 0 would not.
             assert after.nodes == _lb_answer(mirror, [0], 0.4)
 
+    @pytest.mark.parametrize("shards", [None, 2], ids=["single", "sharded-2"])
+    def test_query_admitted_before_publish_is_not_served_after(self, shards):
+        """Both live engines stamp the master graph with the new epoch
+        before the snapshot is published.  A query admitted in that
+        window runs on the old epoch; its answer must not be filed
+        where a query after the update returned would find it."""
+        from repro.service.server import ReliabilityService
+
+        graph = uncertain_gnp(40, 0.12, seed=6)
+        before = _lb_answer(graph.copy(), [0], 0.4)
+        head = next(v for v in graph.nodes() if v not in before)
+        engine = RQTreeEngine.build(graph.copy(), seed=3)
+        with ReliabilityService(
+            engine, workers=2, live=True, shards=shards, shard_mode="inline"
+        ) as service:
+            store = service.engine.store
+            publish = store.publish_delta
+            entered, release = threading.Event(), threading.Event()
+
+            def held_publish(*args, **kwargs):
+                entered.set()
+                assert release.wait(timeout=60)
+                return publish(*args, **kwargs)
+
+            store.publish_delta = held_publish
+            outcome = {}
+            updater = threading.Thread(
+                target=lambda: outcome.update(
+                    service.apply_updates([("set", 0, head, 0.95)])
+                )
+            )
+            updater.start()
+            try:
+                assert entered.wait(timeout=60)
+                during = service.query([0], 0.4, method="lb", timeout=60)
+            finally:
+                release.set()
+                updater.join(timeout=60)
+            assert not updater.is_alive()
+            assert during.epoch == 0 and head not in during.nodes
+            assert outcome == {"epoch": 1, "ops": 1}
+            after = service.query([0], 0.4, method="lb", timeout=60)
+            assert after.epoch == 1
+            assert head in after.nodes
+
     def test_frozen_service_refuses_updates(self):
         from repro.service.server import ReliabilityService
 

@@ -127,7 +127,6 @@ def test_service_metrics_snapshot_schema(fresh_registry, medium_engine):
         assert key in snapshot, key
     service_section = snapshot["service"]
     for key in ("workers", "in_flight", "queue_depth",
-                "batching_enabled", "active_coin_blocks",
                 "result_cache", "result_cache_entries"):
         assert key in service_section, key
     for key in ("hits", "misses", "bypasses", "evictions",

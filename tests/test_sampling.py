@@ -7,7 +7,7 @@ import pytest
 
 from repro import UncertainGraph
 from repro.accel import ReachPlan, csr_snapshot, sample_reach_batch
-from repro.accel.coins import draw_coins
+from repro.accel.mc_kernel import draw_coins
 from repro.graph.exact import exact_reliability
 from repro.graph.generators import uncertain_path
 from repro.graph.sampling import ReachabilityFrequencyEstimator

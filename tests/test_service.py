@@ -2,7 +2,7 @@
 
 The load-bearing guarantee is *concurrent-vs-serial parity*: any
 workload pushed through the worker pool — whatever the worker count,
-batching, caching, injected faults, or expired budgets — must produce
+caching, injected faults, or expired budgets — must produce
 byte-identical per-query answers to running the same queries serially
 against the bare engine.  The rest covers the layer's own machinery:
 admission control and load shedding, the TTL'd result cache,
@@ -30,7 +30,6 @@ from repro.service import (
     get_registry,
     set_registry,
 )
-from repro.service.batcher import BatchKey, WorldBatcher
 from repro.service.metrics import Counter, Gauge, Histogram
 from repro.service.pool import AdmissionPolicy, WorkerPool
 
@@ -114,16 +113,6 @@ def test_pool_parity_200_query_mixed_workload(medium_engine):
         futures = [service.submit(**spec) for spec in specs]
         concurrent = [fingerprint(f.result(timeout=120)) for f in futures]
     assert concurrent == serial
-
-    # And again with batching disabled: sharing must be an optimization,
-    # never a semantic.
-    service = ReliabilityService(
-        medium_engine, workers=8, admission=wide, enable_batching=False
-    )
-    with service:
-        futures = [service.submit(**spec) for spec in specs]
-        unbatched = [fingerprint(f.result(timeout=120)) for f in futures]
-    assert unbatched == serial
 
 
 def test_pool_parity_under_injected_faults(medium_engine):
@@ -322,54 +311,6 @@ def test_identical_inflight_queries_are_deduplicated(
     assert b is a
     assert fresh_registry.counter("service.deduped").value == 1
     assert fresh_registry.counter("engine.queries").value == 1
-
-
-# ----------------------------------------------------------------------
-# World batching
-# ----------------------------------------------------------------------
-def test_batcher_refcounts_blocks(fresh_registry):
-    batcher = WorldBatcher()
-    key = BatchKey(graph_version=1, seed=5, num_worlds=100)
-    block_a = batcher.lease(key)
-    block_b = batcher.lease(key)
-    assert block_b is block_a
-    assert batcher.active_blocks == 1
-    batcher.release(key)
-    assert batcher.active_blocks == 1  # one holder left
-    batcher.release(key)
-    assert batcher.active_blocks == 0  # dropped with the last holder
-    assert batcher.lease(key) is not block_a  # a fresh block now
-    batcher.release(key)
-    batcher.release(key)  # over-release is a no-op
-
-
-def test_batching_eligibility_rules():
-    eligible = WorldBatcher.eligible
-    assert eligible("mc", 7, None)
-    assert not eligible("lb", 7, None)       # no sampling
-    assert not eligible("mc", None, None)    # unseeded: fresh draws
-    assert not eligible("mc", 7, QueryBudget(max_worlds=10))
-
-
-def test_concurrent_same_key_queries_share_coins(
-    medium_engine, fresh_registry
-):
-    # Run many identical-signature, different-source queries through a
-    # wide pool; with batching on, coin chunks are drawn far fewer
-    # times than there are kernel calls.
-    specs = [
-        dict(sources=[i * 3], eta=0.4, method="mc", num_samples=2000,
-             seed=123)
-        for i in range(10)
-    ]
-    serial = [fingerprint(medium_engine.query(**spec)) for spec in specs]
-    service = ReliabilityService(medium_engine, workers=8)
-    with service:
-        futures = [service.submit(**spec) for spec in specs]
-        pooled = [fingerprint(f.result(timeout=120)) for f in futures]
-    assert pooled == serial
-    reused = fresh_registry.counter("service.batcher.chunks_reused").value
-    assert reused > 0  # at least one query reused another's draw
 
 
 # ----------------------------------------------------------------------
