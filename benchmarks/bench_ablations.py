@@ -14,7 +14,12 @@ decision of the reproduction:
   identical answers, fewer max-flow solves;
 * **flow witness**: rejecting a cluster on a feasible flow of value
   ``≥ -log(1 - η)`` instead of solving Algorithm 1 — identical walks,
-  Algorithm 1 only where the walk stops.
+  Algorithm 1 only where the walk stops;
+* **LB without the index**: RQ-tree-LB (candidate generation, then
+  candidate-restricted most-likely-path verification) vs one
+  η-truncated most-likely-path pass over the whole graph — identical
+  answers, since every prefix of a path of probability ``≥ η`` is
+  itself ``≥ η``.
 """
 
 from __future__ import annotations
@@ -31,10 +36,12 @@ from repro.core.candidates import (
     single_source_candidates,
 )
 from repro.core.outreach import outreach_upper_bound, outreach_witness
+from repro.core.verification import _ETA_SLACK
 from repro.eval.reporting import format_table
 from repro.eval.workload import multi_source_workload, single_source_workload
+from repro.graph.paths import most_likely_path_probabilities
 
-from conftest import write_result
+from conftest import NUM_QUERIES, QUALITY_N, write_result
 
 ETA = 0.6
 N = 1500
@@ -252,3 +259,64 @@ def test_ablation_witness(dataset, benchmark):
     )
     # Every certified cluster is a solve the walk no longer needs.
     assert solves_without - solves_with == certified
+
+
+#: The Table 6 graphs and thresholds.
+PAPER_DATASETS = ("dblp2", "dblp5", "dblp10", "flickr", "biomine")
+PAPER_ETAS = (0.4, 0.6, 0.8)
+
+
+def test_ablation_lb_without_index(engines, benchmark):
+    def truncated_pass(graph, source, eta):
+        cutoff = eta * (1.0 - _ETA_SLACK)
+        reached = most_likely_path_probabilities(
+            graph, [source], min_probability=cutoff
+        )
+        return {node for node, p in reached.items() if p >= cutoff}
+
+    def run():
+        rows = []
+        for name in PAPER_DATASETS:
+            graph, engine = engines(name)
+            sources = single_source_workload(graph, NUM_QUERIES, seed=1)
+            for eta in PAPER_ETAS:
+                same = 0
+                index_seconds = pass_seconds = 0.0
+                candidates = answers = 0
+                for s in sources:
+                    start = time.perf_counter()
+                    result = engine.query(s, eta, method="lb")
+                    middle = time.perf_counter()
+                    reached = truncated_pass(graph, s, eta)
+                    end = time.perf_counter()
+                    index_seconds += middle - start
+                    pass_seconds += end - middle
+                    same += result.nodes == reached
+                    candidates += len(result.candidate_result.candidates)
+                    answers += len(reached)
+                count = len(sources)
+                rows.append((
+                    name, eta, f"{same}/{count}",
+                    candidates / count, answers / count,
+                    index_seconds / count * 1000.0,
+                    pass_seconds / count * 1000.0,
+                    index_seconds / max(pass_seconds, 1e-12),
+                ))
+        return rows
+
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    write_result(
+        "ablation_lb_without_index",
+        format_table(
+            ["dataset", "eta", "identical", "mean candidates",
+             "mean answer", "RQ-tree-LB (ms)", "truncated pass (ms)",
+             "speed-up"],
+            rows,
+            title="Ablation: LB without the index (Table 6 graphs, "
+            f"n={QUALITY_N}, {NUM_QUERIES} single-source queries per cell)",
+        ),
+    )
+    # Theorem 4's answer needs no candidate set: identical everywhere.
+    for row in rows:
+        same, count = row[2].split("/")
+        assert same == count, row

@@ -6,10 +6,13 @@ Three questions, one harness (``repro.live.LiveShardedEngine``):
   is applied end to end (validate → master graph → per-shard payloads →
   slice streaming → epoch publish); the sweep reports apply p50/p99 and
   sustained ops/s.
-* **What does churn cost readers?** The same closed-loop lb query
+* **What does churn cost readers?** The same closed-loop lb+ query
   workload runs against a frozen engine and again concurrently with a
   sustained update stream; the delta in qps and p99 is the price of
-  epoch publishing and snapshot leasing.
+  epoch publishing and snapshot leasing.  The queries use ``lb+``
+  because it scatters to the shards: ``lb`` is answered by the
+  gateway alone, so it would time neither the slice stream's drain
+  nor the workers.
 * **Is rebalancing really zero-downtime?** Queries hammer the engine
   while the topology doubles 2→4; the benchmark asserts the failed- and
   degraded-query count is exactly zero and reports the swap wall time.
@@ -47,6 +50,8 @@ SHARDS = 2
 MODE = "process" if not QUICK else "inline"
 TRANSPORT = "shm" if not QUICK else "pickle"
 SEED = 7
+#: A method that scatters: ``lb`` and ``exact`` submit no sub-query.
+METHOD = "lb+"
 
 JSON_PATH = Path(__file__).parent.parent / "BENCH_live.json"
 
@@ -94,14 +99,14 @@ def _sources(graph, count, seed=SEED):
 
 
 def _query_sweep(engine, sources):
-    """Closed-loop lb workload; returns (qps, p50, p99, failures)."""
+    """Closed-loop workload; returns (qps, p50, p99, failures)."""
     latencies = [None] * len(sources)
     failures = []
 
     def run(index):
         start = time.perf_counter()
         try:
-            result = engine.query(sources[index], eta=ETA, method="lb")
+            result = engine.query(sources[index], eta=ETA, method=METHOD)
             if result.degraded:
                 failures.append(("degraded", sources[index]))
         except Exception as error:  # noqa: BLE001 - counted, not raised
@@ -133,7 +138,7 @@ def test_live_update_plane():
         graph, shards=SHARDS, seed=SEED, mode=MODE, transport=TRANSPORT,
     )
     try:
-        engine.query(sources[0], eta=ETA, method="lb")  # warm caches
+        engine.query(sources[0], eta=ETA, method=METHOD)  # warm caches
 
         # -- frozen baseline ------------------------------------------
         qps, p50, p99, failures = _query_sweep(engine, sources)
@@ -198,7 +203,7 @@ def test_live_update_plane():
             while not stop.is_set():
                 source = sources[rng.randrange(len(sources))]
                 try:
-                    result = engine.query(source, eta=ETA, method="lb")
+                    result = engine.query(source, eta=ETA, method=METHOD)
                     if result.degraded:
                         rebalance_failures.append(("degraded", source))
                     completed[0] += 1
@@ -248,7 +253,7 @@ def test_live_update_plane():
                 "num_nodes": NUM_NODES,
                 "num_arcs": graph.num_arcs,
                 "eta": ETA,
-                "method": "lb",
+                "method": METHOD,
                 "shards": SHARDS,
                 "num_queries": NUM_QUERIES,
                 "batch_size": BATCH_SIZE,

@@ -6,15 +6,19 @@ boundary subgraphs) and local lb verification run inside the shard
 worker that owns the query's sources, so a single-source workload whose
 sources are spread across shards keeps K workers busy at once — and
 each sub-query runs on a ~n/K-node subgraph instead of the whole
-graph.  The gateway's own work per query (one truncated multi-source
-Dijkstra) is identical at every K, so what this benchmark measures is
-exactly the scatter-gather win.
+graph.  The gateway's own work per query is one truncated multi-source
+Dijkstra plus the edge-packing verifier over the merged pool.
 
-A fixed batch of seeded lb queries (distinct sources, spread across
+The queries use ``lb+``: it is the deterministic method that scatters.
+``lb`` is answered by the gateway's whole-graph pass alone and reaches
+no shard, so it would time the gateway at every K.
+
+A fixed batch of seeded lb+ queries (distinct sources, spread across
 the 4-shard partition) is pushed through ``ShardedRQTreeEngine``
 instances with 1, 2, and 4 process-mode shards by a small thread pool
-of closed-loop clients.  Answers must be identical at every shard
-count (the lb parity guarantee; see ``tests/test_shard.py``).
+of closed-loop clients.  The merged pool depends on the partition, so
+lb+ answers may differ across shard counts; each must contain the
+whole-graph lb answer, which is identical at every K.
 
 Results go to ``BENCH_shards.json`` at the repo root (and
 ``benchmarks/results/shards.txt``).  ``BENCH_QUICK=1`` shrinks the
@@ -42,6 +46,8 @@ NUM_NODES = 5000 if not QUICK else 400
 MEAN_OUT_DEGREE = 4.0
 EXISTENCE_RANGE = (0.1, 0.6)
 ETA = 0.3
+#: A method that scatters: ``lb`` and ``exact`` submit no sub-query.
+METHOD = "lb+"
 NUM_QUERIES = 48 if not QUICK else 12
 CONCURRENCY = 8
 SHARD_COUNTS = (1, 2, 4)
@@ -83,6 +89,7 @@ def test_shard_count_scaling():
     records = []
     rows = []
     answers = {}
+    lb_answers = {}
     for shards in SHARD_COUNTS:
         engine = ShardedRQTreeEngine.build(
             graph, shards=shards, seed=SEED, mode=MODE,
@@ -94,24 +101,27 @@ def test_shard_count_scaling():
             def run(index, _engine=engine, _latencies=latencies):
                 start = time.perf_counter()
                 result = _engine.query(sources[index], eta=ETA,
-                                       method="lb")
+                                       method=METHOD)
                 _latencies[index] = time.perf_counter() - start
-                return (sources[index], tuple(sorted(result.nodes)),
-                        result.degraded)
+                return (sources[index], result.nodes, result.degraded)
 
             # Warm one query so the first timed one isn't charged for
             # lazily-built caches.
-            engine.query(sources[0], eta=ETA, method="lb")
+            engine.query(sources[0], eta=ETA, method=METHOD)
 
             wall_start = time.perf_counter()
             with ThreadPoolExecutor(max_workers=CONCURRENCY) as pool:
                 results = list(pool.map(run, range(NUM_QUERIES)))
             wall = time.perf_counter() - wall_start
+            lb_answers[shards] = [
+                engine.query(source, eta=ETA, method="lb").nodes
+                for source in sources
+            ]
         finally:
             engine.close()
 
         assert not any(degraded for _, _, degraded in results)
-        answers[shards] = [(src, nodes) for src, nodes, _ in results]
+        answers[shards] = [nodes for _, nodes, _ in results]
 
         ordered = sorted(latencies)
         qps = NUM_QUERIES / wall
@@ -131,10 +141,13 @@ def test_shard_count_scaling():
              f"{p50 * 1000:.0f}", f"{p99 * 1000:.0f}"]
         )
 
-    # lb answers are shard-count-invariant; a speedup bought by changed
-    # answers would be worthless.
-    for shards in SHARD_COUNTS[1:]:
-        assert answers[shards] == answers[SHARD_COUNTS[0]]
+    # lb answers are shard-count-invariant, and every lb+ answer keeps
+    # its lb answer; a speedup bought by lost answers would be
+    # worthless.
+    for shards in SHARD_COUNTS:
+        assert lb_answers[shards] == lb_answers[SHARD_COUNTS[0]]
+        for lb, got in zip(lb_answers[shards], answers[shards]):
+            assert lb <= got
 
     by_shards = {record["shards"]: record for record in records}
     speedup = by_shards[4]["qps"] / by_shards[1]["qps"]
@@ -154,7 +167,7 @@ def test_shard_count_scaling():
                 "num_arcs": graph.num_arcs,
                 "existence_range": list(EXISTENCE_RANGE),
                 "eta": ETA,
-                "method": "lb",
+                "method": METHOD,
                 "num_queries": NUM_QUERIES,
                 "concurrency": CONCURRENCY,
                 "seed": SEED,

@@ -49,6 +49,9 @@ SHARDS = 4
 SEED = 7
 RESPAWN_KILLS = 5 if not QUICK else 2
 STRAGGLER_ROUNDS = 5 if not QUICK else 2
+#: A method that scatters: ``lb`` and ``exact`` are answered by the
+#: gateway alone, so a dead or frozen shard would never be asked.
+METHOD = "lb+"
 RETRY_TIMEOUT_SECONDS = 0.5
 HEDGE_AFTER_SECONDS = 0.05
 
@@ -122,7 +125,7 @@ def test_supervisor_recovery_latency():
     with _build(graph) as engine:
         source = 0
         victim = engine.plan.owner(source)
-        engine.query(source, eta=ETA, method="lb")  # warm caches
+        engine.query(source, eta=ETA, method=METHOD)  # warm caches
         _wait_index_cached(engine)
         for _ in range(RESPAWN_KILLS):
             _wait_standby(engine)
@@ -133,7 +136,7 @@ def test_supervisor_recovery_latency():
             healthy_at = _wait_recovered(engine, victim, respawns)
             respawn_ms.append((healthy_at - killed_at) * 1000.0)
             # The fabric must be answering (not just pinging) again.
-            result = engine.query(source, eta=ETA, method="lb")
+            result = engine.query(source, eta=ETA, method=METHOD)
             assert not result.degraded, result.degraded_reason
 
     respawn_median = statistics.median(respawn_ms)
@@ -150,7 +153,7 @@ def test_supervisor_recovery_latency():
         with _build(graph, **kwargs) as engine:
             source = 0
             victim = engine.plan.owner(source)
-            engine.query(source, eta=ETA, method="lb")
+            engine.query(source, eta=ETA, method=METHOD)
             _wait_index_cached(engine)
             for _ in range(STRAGGLER_ROUNDS):
                 _wait_standby(engine)
@@ -158,7 +161,7 @@ def test_supervisor_recovery_latency():
                 os.kill(pid, signal.SIGSTOP)  # alive but unresponsive
                 stopped_pids.append(pid)
                 start = time.perf_counter()
-                result = engine.query(source, eta=ETA, method="lb")
+                result = engine.query(source, eta=ETA, method=METHOD)
                 samples.append(time.perf_counter() - start)
                 assert not result.degraded, result.degraded_reason
                 # Recovery differs by path: a hedge swaps the primary
@@ -208,6 +211,7 @@ def test_supervisor_recovery_latency():
                 "num_arcs": graph.num_arcs,
                 "shards": SHARDS,
                 "eta": ETA,
+                "method": METHOD,
                 "seed": SEED,
                 "respawn_kills": RESPAWN_KILLS,
                 "respawn_to_healthy_ms": [

@@ -3,15 +3,17 @@
 Two measurements of the zero-copy data plane:
 
 **Scatter-gather overhead.**  For each ``shard.transport`` the same
-single-source lb workload runs against a 2-shard process-mode engine;
-per-query transport overhead is the wall time the gateway spends in
-scatter-gather *minus* the compute time the worker itself reports
-(``response["seconds"]``) — i.e. pure IPC + serialization + scheduling.
-With the shm transport per-query messages are node ids and budget
-scalars, so the overhead must stay under a millisecond even at
-n=5000 (asserted in full mode).  Spawn-time cost is recorded too:
-pickle ships the whole subgraph through the pipe, shm ships a segment
-name.
+fixed single-source sub-queries (``{"sources": [s], "eta": eta}``,
+what a scatter sends one owning shard) are submitted straight to the
+workers of a 2-shard process-mode engine and waited for one at a time,
+so no gateway method and no refinement runs between them.  Per-query
+transport overhead is the round-trip wall time *minus* the compute
+time the worker itself reports (``response["seconds"]``) — i.e. pure
+IPC + serialization + scheduling.  With the shm transport per-query
+messages are node ids and budget scalars, so the overhead must stay
+under a millisecond even at n=5000 (asserted in full mode).
+Spawn-time cost is recorded too: pickle ships the whole subgraph
+through the pipe, shm ships a segment name.
 
 **Gateway connection sweep.**  The asyncio gateway holds every
 connection of an N-way fan-in and answers all of them; the sweep
@@ -34,7 +36,6 @@ from pathlib import Path
 
 from repro.eval.reporting import format_table
 from repro.graph.generators import uncertain_gnp
-from repro.service.metrics import MetricsRegistry, set_registry
 from repro.shard import ShardedRQTreeEngine, build_shard_plan
 from repro.shard.runtime import build_shard_payload
 
@@ -82,6 +83,7 @@ def test_transport_overhead_and_gateway_sweep():
     plan = build_shard_plan(graph, SHARDS, seed=SEED)
     sources = [part[0] for part in plan.shard_nodes] * NUM_QUERIES
     sources = sources[:NUM_QUERIES]
+    requests = [{"sources": [source], "eta": ETA} for source in sources]
 
     records = []
     rows = []
@@ -90,48 +92,45 @@ def test_transport_overhead_and_gateway_sweep():
         payload_bytes = _payload_bytes(graph, plan, transport)
         _release_payload_segments(plan)
 
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
-        try:
-            build_start = time.perf_counter()
-            engine = ShardedRQTreeEngine.build(
-                graph, shards=SHARDS, seed=SEED, mode="process",
-                transport=transport,
-            )
-            build_seconds = time.perf_counter() - build_start
-            try:
-                assert engine.transport == transport
-                engine.query(sources[0], eta=ETA, method="lb")  # warm
-                registry.reset()
-                results = [
-                    engine.query([source], eta=ETA, method="lb")
-                    for source in sources
-                ]
-            finally:
-                engine.close()
-        finally:
-            set_registry(previous)
-
-        assert not any(r.degraded for r in results)
-        answers[transport] = [tuple(sorted(r.nodes)) for r in results]
-
-        scatter = registry.histogram("shard.scatter_seconds")
-        compute = sum(
-            registry.histogram(f"shard.{shard_id}.seconds").sum
-            for shard_id in range(SHARDS)
+        build_start = time.perf_counter()
+        engine = ShardedRQTreeEngine.build(
+            graph, shards=SHARDS, seed=SEED, mode="process",
+            transport=transport,
         )
-        # Each query hits exactly one shard, so the gap between the
-        # gateway's scatter wall and the worker's own compute is the
-        # transport: queue pickling, wakeup, and response transfer.
-        overhead_ms = (scatter.sum - compute) / scatter.count * 1000
+        build_seconds = time.perf_counter() - build_start
+        try:
+            assert engine.transport == transport
+            clients = [engine._client(s) for s in range(SHARDS)]
+            for client, request in zip(clients, requests):  # warm
+                client.wait(client.submit(request))
+            wall = compute = 0.0
+            responses = []
+            for request in requests:
+                client = clients[plan.owner(request["sources"][0])]
+                start = time.perf_counter()
+                response = client.wait(client.submit(request))
+                wall += time.perf_counter() - start
+                compute += response["seconds"]
+                responses.append(response)
+        finally:
+            engine.close()
+
+        assert not any(r["degraded"] for r in responses)
+        answers[transport] = [
+            (sorted(r["kept"]), sorted(r["candidates"])) for r in responses
+        ]
+
+        # The gap between the round trip and the worker's own compute
+        # is the transport: queue pickling, wakeup, and response
+        # transfer.
+        round_trip_ms = wall / len(requests) * 1000
+        overhead_ms = (wall - compute) / len(requests) * 1000
         records.append(
             {
                 "transport": transport,
                 "payload_bytes": payload_bytes,
                 "build_seconds": round(build_seconds, 4),
-                "scatter_ms_mean": round(
-                    scatter.sum / scatter.count * 1000, 4
-                ),
+                "round_trip_ms_mean": round(round_trip_ms, 4),
                 "overhead_ms_mean": round(overhead_ms, 4),
             }
         )
@@ -140,7 +139,7 @@ def test_transport_overhead_and_gateway_sweep():
                 transport,
                 f"{payload_bytes / 1024:.0f}",
                 f"{build_seconds:.2f}",
-                f"{scatter.sum / scatter.count * 1000:.2f}",
+                f"{round_trip_ms:.2f}",
                 f"{overhead_ms:.3f}",
             ]
         )
@@ -193,7 +192,7 @@ def test_transport_overhead_and_gateway_sweep():
             )
 
     table = format_table(
-        ["transport", "payload (KiB)", "build (s)", "scatter (ms)",
+        ["transport", "payload (KiB)", "build (s)", "round trip (ms)",
          "overhead (ms)"],
         rows,
     )
@@ -210,7 +209,6 @@ def test_transport_overhead_and_gateway_sweep():
                 "num_arcs": graph.num_arcs,
                 "existence_range": list(EXISTENCE_RANGE),
                 "eta": ETA,
-                "method": "lb",
                 "num_queries": NUM_QUERIES,
                 "shards": SHARDS,
                 "mode": "process",

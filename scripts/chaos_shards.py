@@ -3,14 +3,21 @@
 
 Runs two storm phases against a supervised ``ShardedRQTreeEngine`` and
 exits nonzero on any hang, wrong answer, or shared-memory leak — the
-three failure modes a recovery layer can hide:
+three failure modes a recovery layer can hide.
+
+Every query of a storm is asked twice.  ``lb`` is answered by the
+gateway's whole-graph pass and reaches no shard, so it must equal the
+plain (or cold-rebuild) engine's answer node-for-node and never be
+degraded, whatever the shards are going through.  ``lb+`` scatters to
+the shards, so it is the probe that exercises the fabric; its checks
+hold by construction: it always contains the whole-graph ``lb``
+answer, and an answer that was not degraded equals a fault-free run of
+an engine of the same shape.
 
 1. **Process kill storm.**  A process-mode engine (shm transport)
    answers a query stream while round-robin SIGKILLs take out shard
-   workers mid-flight.  Every ``lb`` answer must equal the plain
-   single-engine answer node-for-node (exactness through failures is
-   the fabric's core contract), the fabric must end all-healthy, and
-   no segment the run published may be left in ``/dev/shm``.
+   workers mid-flight.  The fabric must end all-healthy, and no
+   segment the run published may be left in ``/dev/shm``.
 
 2. **Inline FaultPlan storm.**  An inline engine runs the same stream
    under a seeded fault schedule that fails respawns, half-open
@@ -20,10 +27,14 @@ three failure modes a recovery layer can hide:
 3. **Epoch storm** (``--updates``).  A live engine
    (``repro.live.LiveShardedEngine``, process + shm, supervised)
    absorbs a seeded update stream while queries, round-robin SIGKILLs,
-   and a mid-stream rebalance all race it.  Every non-degraded ``lb``
-   answer must equal the cold-rebuild answer *for the epoch the result
-   reports* (no drift, no cross-epoch leakage), the fabric must end
-   healthy, and no epoch's shm segments may outlive it.
+   and a mid-stream rebalance all race it.  Every ``lb`` answer must
+   equal the cold-rebuild answer *for the epoch the result reports*
+   (no drift, no cross-epoch leakage) and every ``lb+`` answer must
+   contain it.  An ``lb+`` answer that was not degraded must equal its
+   re-verification on that epoch's graph — edge packing over the
+   answer's own pool plus the whole-graph ``lb`` answer — so a wrong or
+   cross-epoch shard certificate shows up as an extra node.  The fabric
+   must end healthy, and no epoch's shm segments may outlive it.
 
 A watchdog alarm bounds the whole run: a hang is an exit, not a stuck
 CI job.
@@ -92,29 +103,58 @@ def _leaked_segments(published):
     return sorted(name for name in set(published) if (shm_dir / name).exists())
 
 
+def _fingerprint(result):
+    return (tuple(sorted(result.nodes)), tuple(sorted(result.statuses.items())))
+
+
 def _expected_answers(graph, seed):
+    """Per query: the plain engine's ``lb`` answer, and the ``lb+``
+    fingerprint of a fault-free inline engine shaped like the storms'
+    (inline and process workers run the same shard runtime, so their
+    answers are identical by construction)."""
     from repro.core.engine import RQTreeEngine
+    from repro.shard import ShardedRQTreeEngine
 
     with_plain = RQTreeEngine.build(graph, seed=seed)
     expected = []
-    for index in range(max(KILL_STORM_QUERIES, FAULT_STORM_QUERIES)):
-        source = index % graph.num_nodes
-        eta = ETA_SCHEDULE[index % len(ETA_SCHEDULE)]
-        result = with_plain.query(source, eta=eta, method="lb")
-        expected.append(tuple(sorted(result.nodes)))
+    with ShardedRQTreeEngine.build(
+        graph, shards=SHARDS, seed=seed, mode="inline"
+    ) as fault_free:
+        for index in range(max(KILL_STORM_QUERIES, FAULT_STORM_QUERIES)):
+            source = index % graph.num_nodes
+            eta = ETA_SCHEDULE[index % len(ETA_SCHEDULE)]
+            lb = with_plain.query(source, eta=eta, method="lb")
+            scattered = fault_free.query(source, eta=eta, method="lb+")
+            expected.append(
+                (tuple(sorted(lb.nodes)), _fingerprint(scattered))
+            )
     return expected
 
 
-def _check_answer(phase, index, result, expected):
-    got = tuple(sorted(result.nodes))
-    if got != expected:
-        print(
-            f"CHAOS FAIL [{phase}] query {index}: answer mismatch "
-            f"(degraded={result.degraded!r}, "
-            f"reason={result.degraded_reason!r})",
-            file=sys.stderr,
-        )
-        sys.exit(1)
+def _fail(phase, index, what, result):
+    print(
+        f"CHAOS FAIL [{phase}] query {index}: {what} "
+        f"(degraded={result.degraded!r}, "
+        f"reason={result.degraded_reason!r})",
+        file=sys.stderr,
+    )
+    sys.exit(1)
+
+
+def _check_answers(phase, index, engine, source, eta, expected):
+    """Ask ``lb`` and ``lb+``; exit 1 unless both hold their checks.
+    Returns whether the scattered ``lb+`` answer was degraded."""
+    want_lb, want_scattered = expected
+    lb = engine.query(source, eta=eta, method="lb")
+    if tuple(sorted(lb.nodes)) != want_lb or lb.degraded:
+        _fail(phase, index, "lb answer mismatch", lb)
+    scattered = engine.query(source, eta=eta, method="lb+")
+    if not set(want_lb) <= scattered.nodes:
+        _fail(phase, index, "lb+ answer lost lb nodes", scattered)
+    if not scattered.degraded and _fingerprint(scattered) != want_scattered:
+        _fail(phase, index, "lb+ answer differs from a fault-free run",
+              scattered)
+    return scattered.degraded
 
 
 def _wait_all_healthy(engine, timeout=60.0):
@@ -139,6 +179,7 @@ def kill_storm(graph, expected):
         ping_interval_seconds=0.02, backoff_base_seconds=0.01,
     )
     kills = 0
+    degraded = 0
     with ShardedRQTreeEngine.build(
         graph, shards=SHARDS, seed=3, mode="process", transport="shm",
         supervise=True, supervisor_policy=policy,
@@ -154,14 +195,17 @@ def kill_storm(graph, expected):
                     pass
             source = index % graph.num_nodes
             eta = ETA_SCHEDULE[index % len(ETA_SCHEDULE)]
-            result = engine.query(source, eta=eta, method="lb")
-            _check_answer("kill-storm", index, result, expected[index])
+            degraded += _check_answers(
+                "kill-storm", index, engine, source, eta, expected[index]
+            )
         _wait_all_healthy(engine)
         respawns = sum(
             s["respawns"] for s in engine.shard_states().values()
         )
     print(f"kill storm: {KILL_STORM_QUERIES} queries, {kills} SIGKILLs, "
-          f"{respawns} respawns, all answers exact, fabric healthy")
+          f"{respawns} respawns, lb exact and never degraded, lb+ sound "
+          f"({degraded} degraded, the rest equal to a fault-free run), "
+          f"fabric healthy")
 
 
 def fault_storm(graph, expected):
@@ -177,6 +221,7 @@ def fault_storm(graph, expected):
         "supervisor.redispatch", "supervisor.hedge",
         "shard.handle",
     )
+    degraded = 0
     with ShardedRQTreeEngine.build(
         graph, shards=SHARDS, seed=3, mode="inline",
         supervise=True, supervisor_policy=policy,
@@ -190,8 +235,10 @@ def fault_storm(graph, expected):
                     engine.supervisor.client(victim).close()
                 source = index % graph.num_nodes
                 eta = ETA_SCHEDULE[index % len(ETA_SCHEDULE)]
-                result = engine.query(source, eta=eta, method="lb")
-                _check_answer("fault-storm", index, result, expected[index])
+                degraded += _check_answers(
+                    "fault-storm", index, engine, source, eta,
+                    expected[index],
+                )
             hits = {name: plan.hits(name) for name in points}
         _wait_all_healthy(engine)
     exercised = sum(hits.values())
@@ -203,7 +250,9 @@ def fault_storm(graph, expected):
         )
         sys.exit(1)
     print(f"fault storm: {FAULT_STORM_QUERIES} queries under seeded "
-          f"supervisor faults (hits: {hits}), all answers exact")
+          f"supervisor faults (hits: {hits}), lb exact and never degraded, "
+          f"lb+ sound ({degraded} degraded, the rest equal to a "
+          f"fault-free run)")
 
 
 def _epoch_update_stream(graph, num_batches, batch_size, seed=13):
@@ -242,6 +291,7 @@ def epoch_storm(graph):
     import threading
 
     from repro.core.engine import RQTreeEngine
+    from repro.core.verification import packing_bounds
     from repro.live import LiveShardedEngine
     from repro.live.updates import apply_to_graph, normalize_updates
     from repro.shard import SupervisorPolicy
@@ -255,10 +305,12 @@ def epoch_storm(graph):
         for index in range(EPOCH_STORM_QUERIES_PER_BATCH)
     ]
     mirror = graph.copy()
+    graphs = {}
     reference = {}
     for epoch in range(EPOCH_STORM_BATCHES + 1):
         if epoch > 0:
             apply_to_graph(mirror, normalize_updates(batches[epoch - 1]))
+        graphs[epoch] = mirror.copy()
         cold = RQTreeEngine.build(mirror, seed=3)
         reference[epoch] = {
             source: tuple(sorted(
@@ -273,33 +325,54 @@ def epoch_storm(graph):
     kills = 0
     stop = threading.Event()
     failures = []
-    checked = [0]
+    checked = {"lb": 0, "lb+": 0}
+    # (epoch, source, nodes, pool) of every lb+ answer not degraded,
+    # re-verified once the storm is over.
+    scattered = []
 
     with LiveShardedEngine.build(
         graph.copy(), shards=2, seed=3, mode="process", transport="shm",
         supervise=True, supervisor_policy=policy,
     ) as engine:
         def hammer():
+            # Each source is asked with lb, then lb+: a thread of lb
+            # alone (gateway-only, ~0.1 ms) would starve the lb+ probes.
             cursor = 0
             while not stop.is_set():
-                source = sources[cursor % len(sources)]
+                source = sources[(cursor // 2) % len(sources)]
+                method = ("lb", "lb+")[cursor % 2]
                 cursor += 1
                 try:
                     result = engine.query(
-                        source, eta=EPOCH_STORM_ETA, method="lb"
+                        source, eta=EPOCH_STORM_ETA, method=method
                     )
                 except Exception as error:  # noqa: BLE001
-                    failures.append(f"query raised: {error!r}")
+                    failures.append(f"{method} query raised: {error!r}")
                     continue
-                if result.degraded:
-                    continue  # a mid-kill degrade is allowed; drift is not
                 want = reference[result.epoch][source]
-                if tuple(sorted(result.nodes)) != want:
+                if method == "lb":
+                    # lb reaches no shard: exact and never degraded,
+                    # kills or not.
+                    if (result.degraded
+                            or tuple(sorted(result.nodes)) != want):
+                        failures.append(
+                            f"epoch {result.epoch} source {source}: lb "
+                            f"answer drifted from that epoch's cold "
+                            f"rebuild (degraded={result.degraded!r})"
+                        )
+                elif not set(want) <= result.nodes:
+                    # lb+ scatters (a mid-kill degrade is allowed) but
+                    # always keeps its epoch's whole-graph lb answer.
                     failures.append(
-                        f"epoch {result.epoch} source {source}: answer "
-                        f"drifted from that epoch's cold rebuild"
+                        f"epoch {result.epoch} source {source}: lb+ "
+                        f"answer lost that epoch's lb nodes"
                     )
-                checked[0] += 1
+                elif not result.degraded:
+                    scattered.append((
+                        result.epoch, source, result.nodes,
+                        result.candidate_result.candidates,
+                    ))
+                checked[method] += 1
 
         threads = [threading.Thread(target=hammer) for _ in range(3)]
         for thread in threads:
@@ -322,14 +395,31 @@ def epoch_storm(graph):
             stop.set()
             for thread in threads:
                 thread.join(timeout=60)
+        # A shard certificate is a path inside one epoch's shard
+        # subgraph, so the merged answer must be exactly what packing
+        # over the same pool, plus the whole-graph lb answer (the
+        # truncated pass), certifies on that epoch's graph.
+        for epoch, source, nodes, pool in scattered:
+            kept, _ = packing_bounds(
+                graphs[epoch], [source], EPOCH_STORM_ETA, pool
+            )
+            want = kept | set(reference[epoch][source])
+            if nodes != want:
+                failures.append(
+                    f"epoch {epoch} source {source}: lb+ answer differs "
+                    f"from its re-verification on that epoch's graph "
+                    f"(extra {sorted(nodes - want)[:5]}, missing "
+                    f"{sorted(want - nodes)[:5]})"
+                )
         if failures:
             for failure in failures[:5]:
                 print(f"CHAOS FAIL [epoch-storm] {failure}",
                       file=sys.stderr)
             sys.exit(1)
-        if checked[0] == 0:
-            print("CHAOS FAIL [epoch-storm]: no query was ever checked",
-                  file=sys.stderr)
+        if not all(checked.values()) or not scattered:
+            print(f"CHAOS FAIL [epoch-storm]: some check never ran "
+                  f"({checked}, {len(scattered)} lb+ answers not "
+                  f"degraded)", file=sys.stderr)
             sys.exit(3)
         _wait_all_healthy(engine)
         held = engine.store.held_epochs()
@@ -342,8 +432,10 @@ def epoch_storm(graph):
             sys.exit(2)
     print(
         f"epoch storm: {EPOCH_STORM_BATCHES} update batches, {kills} "
-        f"SIGKILLs, 1 rebalance, {checked[0]} answers checked against "
-        f"their own epoch's cold rebuild, fabric healthy"
+        f"SIGKILLs, 1 rebalance, {checked['lb']} lb and {checked['lb+']} "
+        f"lb+ answers checked against their own epoch's cold rebuild, "
+        f"{len(scattered)} lb+ answers not degraded and equal to their "
+        f"re-verification on that epoch's graph, fabric healthy"
     )
 
 

@@ -41,6 +41,7 @@ REPORT_ORDER = [
     ("Ablation — multi-source strategy", "ablation_multisource"),
     ("Ablation — Theorem-5 early accept", "ablation_cheap_bound"),
     ("Ablation — flow-witness rejection", "ablation_witness"),
+    ("Ablation — LB without the index", "ablation_lb_without_index"),
     ("Extension — branching factor", "extension_branching"),
     ("Extension — updates without index repair", "extension_maintenance"),
     ("Monte-Carlo estimator comparison (after Fishman [13])",

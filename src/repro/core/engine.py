@@ -40,7 +40,18 @@ from .bounds_cache import ClusterBoundsCache
 from .candidates import CandidateResult, generate_candidates
 from .rqtree import RQTree
 
-__all__ = ["QueryResult", "RQTreeEngine"]
+__all__ = ["QueryResult", "RQTreeEngine", "height_ratio"]
+
+
+def height_ratio(tree_height: int, min_selected_depth: int) -> float:
+    """Tree levels climbed over the height (paper, Section 7.4): the
+    walk that selected a cluster at ``min_selected_depth`` climbed
+    ``tree_height - min_selected_depth + 1`` of ``tree_height + 1``
+    levels.  0 for a walk over no tree (``tree_height == 0``)."""
+    if tree_height == 0:
+        return 0.0
+    climbed = tree_height - min_selected_depth + 1
+    return min(1.0, max(0.0, climbed / (tree_height + 1)))
 
 
 @dataclass
@@ -130,12 +141,11 @@ class QueryResult:
         cluster sits just above the leaves scores near ``1/height``;
         one that climbed to the root scores 1.  For multi-source
         queries the *highest* cursor defines the ratio (the paper's
-        Table 7 values rise towards 1 as source sets spread).
+        Table 7 values rise towards 1 as source sets spread).  An
+        answer that walked no tree (``tree_height == 0``, as for a
+        sharded ``lb`` or ``exact`` query) reads 0.
         """
-        if self.tree_height == 0:
-            return 0.0
-        climbed = self.tree_height - self.min_selected_depth + 1
-        return min(1.0, max(0.0, climbed / (self.tree_height + 1)))
+        return height_ratio(self.tree_height, self.min_selected_depth)
 
     def explain(self) -> str:
         """A human-readable account of how this query was answered.

@@ -294,7 +294,8 @@ class LiveShardedEngine(ShardedRQTreeEngine):
                     registry.counter("live.update_stream_failures").inc()
                     if supervisor is not None:
                         supervisor.report_failure(
-                            shard_id, "update stream found the worker gone"
+                            shard_id, "update stream found the worker gone",
+                            client=client,
                         )
             self.store.publish_delta(self.graph, self.log)
         registry.counter("live.updates").inc()

@@ -99,7 +99,9 @@ class QueryBudget:
         Candidates beyond the cap (sources are kept first, then
         ascending node id) are reported :data:`UNVERIFIED` instead of
         being verified.  The *candidate set itself* is never shrunk —
-        that would break the no-false-negatives guarantee.
+        that would break the no-false-negatives guarantee.  A sharded
+        ``lb`` query builds no candidate subgraph (the gateway's
+        truncated pass is its answer), so the cap does not apply to it.
     confidence:
         Confidence level of the per-node early-stopping intervals in
         budgeted MC verification.

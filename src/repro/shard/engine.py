@@ -3,43 +3,46 @@
 The sharded engine presents the exact :meth:`RQTreeEngine.query`
 signature over ``K`` partition-aligned shards, each holding an
 independent RQ-tree on its slice of the graph (built in its own worker
-process in ``mode="process"``).  A query runs in three steps:
+process in ``mode="process"``).
+
+``method="lb"`` never leaves the gateway.  The RQ-tree-LB answer
+``{t : L_R(S, t) >= eta}`` (paper §5.1, Theorem 4) is exactly what one
+multi-source most-likely-path Dijkstra over the leased epoch's whole
+graph returns when it expands only nodes with ``L_R >= eta``: every
+prefix of a path of probability ``>= eta`` is itself ``>= eta``, so no
+candidate set is needed.  Its statuses and estimates are the reached
+set, every node confirmed.  ``method="exact"`` verifies a pool built
+from the same kind of pass, which keeps it bit-identical across shard
+layouts.  Neither reads what a shard computes, so neither submits a
+sub-query.  Every other method reads the merged candidate pool:
 
 1. **Scatter** — sources are routed to their owning shards
    (:attr:`ShardPlan.shard_of`) and each owning shard answers the
    sub-query ``RS(S ∩ shard, η)`` on its subgraph: candidate generation
    plus most-likely-path verification, under the remaining slice of the
-   query budget.  Shards hold disjoint node sets, so sub-queries carry
-   no overlapping work and run concurrently — across the shards of one
-   query and across concurrent queries (each worker is its own
+   query budget.  Sub-queries run concurrently — across the shards of
+   one query and across concurrent queries (each worker is its own
    process, so the GIL stops mattering).
 2. **Gather** — per-shard candidate sets, locally certified answers,
    and instrumentation are merged.  A local certificate is globally
    sound (a path inside a shard subgraph is a path of ``G``); a local
    *rejection* is not (the best path may cross shards), so only
    confirmations survive the merge.
-3. **Refine** — one *bounded* cross-shard pass accounts for every path
-   the shards could not see.  A truncated multi-source Dijkstra over
-   the whole graph (frontier arcs included), cut off at the query
-   threshold, expands only nodes whose most-likely-path probability
-   can still reach ``η`` — the answer's own neighbourhood, not the
-   graph.  For ``method="lb"`` this *is* the final answer (and it
-   equals the single-engine answer exactly: any prefix of an
-   above-threshold path is itself above threshold, so candidate
-   restriction never hides an optimal path).  For ``"lb+"`` the
-   edge-packing verifier reruns over the merged pool.  For ``"mc"``
-   the existing batched sampling kernel verifies the merged pool on
-   the *whole* graph — per-shard MC would miss cross-shard worlds —
-   with the pool widened by a most-likely-path floor
-   (``mc_refine_floor``); at floor 0 this falls back to whole-graph
-   MC over all nodes.
+3. **Refine** — the same truncated whole-graph Dijkstra, cut at
+   ``eta * mc_refine_floor`` (at ``eta`` when the floor is 0), widens
+   the pool with every path the shards could not see and certifies
+   every node with ``L_R >= eta``.  ``"lb+"`` reruns the edge-packing
+   verifier over the pool; ``"mc"`` samples the pool on the *whole*
+   graph (per-shard MC would miss cross-shard worlds), and at floor 0
+   samples every node.
 
-Degradation mirrors the single-engine budget contract: an expired
-deadline skips refinement and returns the shard certificates (sound,
-possibly incomplete); a dead or timed-out shard marks the answer
-degraded but never fails the query — for ``"lb"`` the refinement pass
-recomputes the full answer anyway, so even a query that loses every
-shard still answers exactly.
+Degradation mirrors the single-engine budget contract: a deadline that
+expires before the whole-graph pass returns the shard certificates plus
+the sources (sound, possibly incomplete).  A dead or timed-out shard
+marks a scattering answer degraded but never fails the query; ``lb``
+and ``exact`` ask no shard, so no shard fault degrades them.
+``max_candidate_nodes`` caps a candidate subgraph, and a sharded ``lb``
+query has none, so the cap does not apply to it.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Set, Union
 
 from ..core.candidates import CandidateResult
-from ..core.engine import QueryResult, RQTreeEngine
+from ..core.engine import QueryResult, RQTreeEngine, height_ratio
 from ..errors import (
     InvalidThresholdError,
     NodeNotFoundError,
@@ -85,6 +88,11 @@ from .supervisor import ShardSupervisor, SupervisorPolicy
 from .worker import InlineShardClient, ProcessShardClient
 
 __all__ = ["ShardedRQTreeEngine"]
+
+#: Methods the gateway answers from its whole-graph pass alone: their
+#: answer never reads a shard's candidates or certificates, so such a
+#: query submits no sub-query.
+_GATEWAY_METHODS = frozenset({"lb", "exact"})
 
 #: Grace added to a budgeted query's shard-response timeout: covers
 #: queue hops so a shard that honours its (already expired) deadline
@@ -345,7 +353,8 @@ class ShardedRQTreeEngine:
     @property
     def tree_height(self) -> int:
         """Tallest per-shard RQ-tree (the sharded analogue of
-        ``engine.tree.height``; used by height-ratio style reporting)."""
+        ``engine.tree.height``; a query's ``height_ratio`` uses the
+        tree of the shard whose walk climbed highest instead)."""
         return max(
             (
                 self._client(shard_id).tree_height
@@ -445,23 +454,27 @@ class ShardedRQTreeEngine:
         registry.counter("shard.queries").inc()
 
         # Pin the generation: every phase of this query — scatter,
-        # stale-response demotion, whole-graph refinement — reads the
-        # leased graph, never the (possibly mutating) master.
+        # stale-response demotion, whole-graph pass — reads the leased
+        # graph, never the (possibly mutating) master.
         lease = self._lease_epoch()
         try:
             graph = lease.graph
             epoch = lease.epoch
 
-            # -- scatter / gather --------------------------------------
-            scatter_start = time.perf_counter()
-            gather = self._scatter_gather(
-                source_list, eta, multi_source_mode, max_hops, clock,
-                registry, epoch,
-            )
-            candidate_seconds = time.perf_counter() - scatter_start
-            registry.histogram("shard.scatter_seconds").observe(
-                candidate_seconds
-            )
+            # -- scatter / gather (only methods that read the pool) ----
+            if method in _GATEWAY_METHODS:
+                gather = _empty_gather()
+                candidate_seconds = 0.0
+            else:
+                scatter_start = time.perf_counter()
+                gather = self._scatter_gather(
+                    source_list, eta, multi_source_mode, max_hops, clock,
+                    registry, epoch,
+                )
+                candidate_seconds = time.perf_counter() - scatter_start
+                registry.histogram("shard.scatter_seconds").observe(
+                    candidate_seconds
+                )
 
             # -- refine -------------------------------------------------
             refine_start = time.perf_counter()
@@ -499,8 +512,9 @@ class ShardedRQTreeEngine:
             candidate_result=candidate_result,
             candidate_seconds=candidate_seconds,
             verification_seconds=verification_seconds,
-            tree_height=self.tree_height,
+            tree_height=gather["tree_height"],
             num_graph_nodes=graph.num_nodes,
+            min_selected_depth=gather["min_selected_depth"],
             statuses=refined["statuses"],
             degraded=degraded,
             degraded_reason=degraded_reason,
@@ -554,17 +568,7 @@ class ShardedRQTreeEngine:
             except ShardUnavailableError as error:
                 handles.append((shard_id, error))
 
-        merged: Dict[str, object] = {
-            "candidates": set(),
-            "confirmed": set(),
-            "clusters_visited": 0,
-            "flow_calls": 0,
-            "max_subgraph_nodes": 0,
-            "max_subgraph_arcs": 0,
-            "degraded": False,
-            "degraded_reason": None,
-            "shards_recovered": 0,
-        }
+        merged = _empty_gather()
         failures: List[str] = []
         shard_degraded: Optional[str] = None
         for shard_id, handle in handles:
@@ -596,15 +600,17 @@ class ShardedRQTreeEngine:
                 # this query was admitted on (an update raced the
                 # scatter, or a respawn landed on a newer payload).
                 # Its certificates may reflect arcs this epoch does not
-                # have, so demote everything to candidates: the
-                # refinement pass recomputes the exact answer from the
-                # leased epoch's graph, which for lb means the final
+                # have, so demote everything to candidates.  Only the
+                # scattering methods (lb+, mc, rss, lazy, auto) read
+                # them, and each re-verifies its pool on the leased
+                # epoch's graph (lb+ by edge packing), so the final
                 # answer never mixes generations.
                 registry.counter("live.stale_shard_responses").inc()
                 merged["candidates"].update(response["candidates"])
                 merged["candidates"].update(response["kept"])
                 merged["clusters_visited"] += response["clusters_visited"]
                 merged["flow_calls"] += response["flow_calls"]
+                _keep_highest_climb(merged, response)
                 continue
             merged["candidates"].update(response["candidates"])
             merged["confirmed"].update(response["kept"])
@@ -617,6 +623,7 @@ class ShardedRQTreeEngine:
             merged["max_subgraph_arcs"] = max(
                 merged["max_subgraph_arcs"], response["max_subgraph_arcs"]
             )
+            _keep_highest_climb(merged, response)
             registry.counter(f"shard.{shard_id}.queries").inc()
             registry.histogram(f"shard.{shard_id}.seconds").observe(
                 response["seconds"]
@@ -656,7 +663,7 @@ class ShardedRQTreeEngine:
         confirmed: Set[int] = gather["confirmed"]
 
         if clock is not None and clock.expired():
-            # Deadline gone before the cross-shard pass could run: the
+            # Deadline gone before the whole-graph pass could run: the
             # shard certificates (plus the sources themselves, answers
             # by definition) are the sound partial answer.
             kept = confirmed | source_set
@@ -667,7 +674,7 @@ class ShardedRQTreeEngine:
             }
             return _refined(
                 kept, pool, statuses, degraded=True,
-                reason="deadline expired before cross-shard refinement",
+                reason="deadline expired before the whole-graph pass",
                 estimator=method if method != AUTO else "",
                 planner_reason=(
                     None if method == AUTO
@@ -676,38 +683,32 @@ class ShardedRQTreeEngine:
             )
 
         cutoff = eta * (1.0 - _ETA_SLACK)
+        if method == "lb":
+            # The answer {t : L_R(S, t) >= eta} of RQ-tree-LB (Theorem
+            # 4) is the truncated pass itself: every prefix of a path of
+            # probability >= eta is >= eta, so a pass that expands only
+            # such nodes misses none of them.
+            reached = {
+                node: prob
+                for node, prob in _path_probabilities(
+                    graph, source_list, max_hops, cutoff
+                ).items()
+                if prob >= cutoff
+            }
+            kept = set(reached)
+            return _refined(
+                kept, kept, dict.fromkeys(kept, CONFIRMED),
+                estimates=reached, estimator="lb",
+                planner_reason=f"explicit method {method!r}",
+            )
+
         probe = cutoff
-        if method != "lb" and self.mc_refine_floor > 0.0:
+        if self.mc_refine_floor > 0.0:
             probe = min(cutoff, eta * self.mc_refine_floor)
-        if max_hops is not None:
-            reachable = hop_bounded_path_probabilities(
-                graph, source_list, max_hops, min_probability=probe
-            )
-        else:
-            reachable = most_likely_path_probabilities(
-                graph, source_list, min_probability=probe
-            )
+        reachable = _path_probabilities(graph, source_list, max_hops, probe)
         certified = {
             node for node, prob in reachable.items() if prob >= cutoff
         }
-
-        if method == "lb":
-            kept = certified | confirmed
-            pool = candidates | kept
-            statuses = {
-                node: (CONFIRMED if node in kept else REJECTED)
-                for node in pool
-            }
-            estimates = {
-                node: reachable.get(node, 0.0) for node in pool
-            }
-            for s in source_set:
-                estimates[s] = 1.0
-            return _refined(
-                kept, pool, statuses,
-                estimates=estimates, estimator="lb",
-                planner_reason=f"explicit method {method!r}",
-            )
 
         if method == "lb+":
             pool = candidates | set(reachable) | certified | source_set
@@ -739,14 +740,9 @@ class ShardedRQTreeEngine:
 
         if method == "exact":
             # The exact pool is built from the gateway's *whole-graph*
-            # MLP pass only — never from the shard candidate sets,
-            # which vary with the shard count.  The pool (and therefore
-            # the induced subgraph, the traversal, and every estimate)
-            # is thus bit-identical across shard layouts.  Shard
-            # confirmation certificates are not folded in for the same
-            # reason; they are dominated anyway — every MLP-certified
-            # path lies inside the pool, so the exact subgraph
-            # reliability confirms at least as much.
+            # MLP pass only (the query scattered nothing), so the pool —
+            # and therefore the induced subgraph, the traversal, and
+            # every estimate — is bit-identical across shard layouts.
             pool = set(reachable) | certified | source_set
             request = EstimateRequest(
                 graph=graph,
@@ -883,6 +879,60 @@ class _FrozenLease:
 
     def release(self) -> None:
         pass
+
+
+def _path_probabilities(
+    graph: UncertainGraph,
+    sources: List[int],
+    max_hops: Optional[int],
+    min_probability: float,
+) -> Dict[int, float]:
+    """The gateway's truncated most-likely-path pass on *graph*.
+
+    Looks both path functions up through this module's names at call
+    time, so a wrapper installed on them (perfbench's timer) sees
+    every pass.
+    """
+    if max_hops is not None:
+        return hop_bounded_path_probabilities(
+            graph, sources, max_hops, min_probability=min_probability
+        )
+    return most_likely_path_probabilities(
+        graph, sources, min_probability=min_probability
+    )
+
+
+def _empty_gather() -> Dict[str, object]:
+    """A gather that collected nothing: the starting point of a merge,
+    and the whole gather of a query that scatters nothing."""
+    return {
+        "candidates": set(),
+        "confirmed": set(),
+        "clusters_visited": 0,
+        "flow_calls": 0,
+        "max_subgraph_nodes": 0,
+        "max_subgraph_arcs": 0,
+        "tree_height": 0,
+        "min_selected_depth": 0,
+        "degraded": False,
+        "degraded_reason": None,
+        "shards_recovered": 0,
+    }
+
+
+def _keep_highest_climb(
+    merged: Dict[str, object], response: Dict[str, object]
+) -> None:
+    """Keep the (tree height, selected depth) pair of the shard whose
+    walk climbed highest: the multi-source ``height_ratio`` is the
+    highest cursor's."""
+    height = response["tree_height"]
+    depth = response["min_selected_depth"]
+    if height_ratio(height, depth) > height_ratio(
+        merged["tree_height"], merged["min_selected_depth"]
+    ):
+        merged["tree_height"] = height
+        merged["min_selected_depth"] = depth
 
 
 def _refined(

@@ -260,9 +260,8 @@ class ShardRuntime:
             # statuses during refinement, so shipping them would only
             # bloat the per-query response.
             "seconds": time.perf_counter() - started,
-            "candidate_seconds": result.candidate_seconds,
-            "verification_seconds": result.verification_seconds,
             "tree_height": result.tree_height,
+            "min_selected_depth": result.min_selected_depth,
             "degraded": result.degraded,
             "degraded_reason": result.degraded_reason,
             "clusters_visited": candidate_result.clusters_visited,

@@ -338,7 +338,9 @@ class ShardSupervisor:
         try:
             handle = client.submit(request)
         except ShardUnavailableError:
-            self.report_failure(shard_id, "submit found the worker gone")
+            self.report_failure(
+                shard_id, "submit found the worker gone", client=client
+            )
             raise
         return _Dispatch(shard_id, client, handle, request)
 
@@ -374,6 +376,7 @@ class ShardSupervisor:
         redispatched = False
         hedged = False
         last_error: Optional[ShardUnavailableError] = None
+        dead_client = None
         while True:
             for lane in list(lanes):
                 try:
@@ -390,6 +393,7 @@ class ShardSupervisor:
                         raise
                     lanes.remove(lane)
                     last_error = error
+                    dead_client = lane.client
                     continue
                 if response is not None:
                     for other in lanes:
@@ -409,7 +413,9 @@ class ShardSupervisor:
                 assert last_error is not None
                 if redispatched:
                     raise last_error
-                self.report_failure(dispatch.shard_id, str(last_error))
+                self.report_failure(
+                    dispatch.shard_id, str(last_error), client=dead_client
+                )
                 lane = self._redispatch(slot, dispatch.request,
                                         deadline, last_error)
                 lanes = [lane]
@@ -467,10 +473,16 @@ class ShardSupervisor:
             # immediately; the short cap keeps death detection fresh.
             lanes[0].client.wait_event(lanes[0].handle, 0.02)
 
-    def report_failure(self, shard_id: int, reason: str) -> None:
+    def report_failure(self, shard_id: int, reason: str, client) -> None:
         """Gateway-side failure report: trips the breaker and kicks the
-        monitor so the respawn starts now, not on the next sweep."""
-        self._trip(self._slots[shard_id], reason)
+        monitor so the respawn starts now, not on the next sweep.
+
+        The report names the *client* that failed, and trips nothing
+        once that client has been replaced: the monitor saw the death
+        first and already respawned the shard, and tripping again would
+        discard a healthy worker and spend crash-loop budget on it.
+        """
+        self._trip(self._slots[shard_id], reason, client=client)
 
     # ------------------------------------------------------------------
     # Redispatch / hedging internals
@@ -554,10 +566,15 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     # State machine
     # ------------------------------------------------------------------
-    def _trip(self, slot, reason: str, kill: bool = False) -> None:
-        """healthy/suspect/half-open → open-circuit."""
+    def _trip(
+        self, slot, reason: str, kill: bool = False, client=None
+    ) -> None:
+        """healthy/suspect/half-open → open-circuit (only while *client*,
+        when given, is still the slot's current one)."""
         with slot.lock:
             if slot.state in (SHARD_OPEN, SHARD_PARKED):
+                return
+            if client is not None and slot.client is not client:
                 return
             client = slot.client
             slot.state = SHARD_OPEN

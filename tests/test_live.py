@@ -30,8 +30,10 @@ import pytest
 
 from repro.accel.csr import CSRGraph, csr_snapshot
 from repro.core.engine import RQTreeEngine
+from repro.core.verification import _ETA_SLACK, packing_bounds
 from repro.errors import InvalidProbabilityError, NodeNotFoundError
 from repro.graph.generators import nethept_like, uncertain_gnp
+from repro.graph.paths import most_likely_path_probabilities
 from repro.live import (
     ArcUpdate,
     EpochStore,
@@ -47,9 +49,10 @@ from repro.live.updates import normalize_updates
 def apply_to_graph(graph, ops):
     """Test-side mirror apply: accepts raw tuples/dicts like the wire."""
     return _apply_normalized(graph, normalize_updates(ops))
+from repro.resilience import FaultPlan
 from repro.resilience.budget import QueryBudget
 from repro.service.metrics import MetricsRegistry, set_registry
-from repro.shard import shm
+from repro.shard import ShardedRQTreeEngine, shm
 
 SEED = 20140328  # EDBT 2014
 
@@ -147,6 +150,55 @@ def _lb_answer(graph, sources, eta, seed=3):
     return RQTreeEngine.build(graph, seed=seed).query(
         sources, eta, method="lb"
     ).nodes
+
+
+def _truncated_pass(graph, sources, eta):
+    """The whole-graph answer ``{t : L_R(S, t) >= eta}``."""
+    cutoff = eta * (1.0 - _ETA_SLACK)
+    reached = most_likely_path_probabilities(
+        graph, sources, min_probability=cutoff
+    )
+    return {node for node, p in reached.items() if p >= cutoff}
+
+
+def _reverified_lbplus(graph, sources, eta, result):
+    """What an ``lb+`` answer on *graph* must be, given its own pool:
+    edge packing re-run over the pool, plus the truncated pass.  A wrong
+    or cross-epoch shard certificate shows up as an extra node."""
+    kept, _ = packing_bounds(
+        graph, sources, eta, result.candidate_result.candidates
+    )
+    return kept | _truncated_pass(graph, sources, eta)
+
+
+def _shard_responses(engine, sources, eta):
+    """Each owning shard's own answer to its slice of *sources*,
+    submitted straight to its client: ``lb`` never reaches a shard, so
+    this is how a check audits what the shards hold."""
+    by_shard = {}
+    for node in sources:
+        by_shard.setdefault(engine.plan.owner(node), []).append(node)
+    responses = []
+    for shard_id, owned in sorted(by_shard.items()):
+        client = engine._client(shard_id)
+        responses.append(
+            client.wait(client.submit({"sources": owned, "eta": eta}))
+        )
+    return responses
+
+
+#: A sampled query whose answer is bit-identical across shard counts:
+#: at ``mc_refine_floor=0`` the pool is the whole graph, whatever the
+#: partition, so only the epoch's graph decides the answer.
+_MC_FLOOR0 = {"method": "mc", "num_samples": 200, "seed": 5}
+
+
+def _mc_floor0_answer(graph, sources, eta):
+    """The cold reference for :data:`_MC_FLOOR0` on *graph*."""
+    with ShardedRQTreeEngine.build(
+        graph.copy(), shards=1, seed=7, mode="inline", mc_refine_floor=0.0
+    ) as cold:
+        return cold.query(sources, eta, **_MC_FLOOR0).nodes
 
 
 # ----------------------------------------------------------------------
@@ -574,9 +626,20 @@ class TestLiveShardedParity:
                 apply_to_graph(mirror, batch)
                 if index in checkpoints:
                     for sources in ([0], [3, 41]):
+                        want = _lb_answer(mirror, sources, 0.4)
                         got = live.query(sources, 0.4, method="lb")
                         assert not got.degraded
-                        assert got.nodes == _lb_answer(mirror, sources, 0.4)
+                        assert got.nodes == want
+                        # The shards' own state at this epoch: every
+                        # local certificate is a whole-graph one.
+                        for response in _shard_responses(live, sources, 0.4):
+                            assert response["epoch"] == index + 1
+                            assert set(response["kept"]) <= want
+                        scattered = live.query(sources, 0.4, method="lb+")
+                        assert not scattered.degraded
+                        assert scattered.nodes == _reverified_lbplus(
+                            mirror, sources, 0.4, scattered
+                        )
             # Final state: every shard count agrees with the rebuild.
             got = live.query([0, 3, 41], 0.35, method="lb")
             assert got.epoch == 20
@@ -642,6 +705,96 @@ class TestLiveShardedParity:
 
 
 # ----------------------------------------------------------------------
+# lb and exact on the live engine: the gateway's pass, no sub-query
+# ----------------------------------------------------------------------
+class TestLiveGatewayAnswers:
+    @pytest.mark.parametrize("method", ["lb", "exact"])
+    def test_submits_no_sub_query(self, method):
+        graph = uncertain_gnp(40, 0.12, seed=6)
+        with LiveShardedEngine.build(
+            graph, shards=2, seed=7, mode="inline", transport="pickle",
+        ) as live:
+            live.apply(_stream(graph.copy(), 20))
+            plan = FaultPlan({"shard.handle": "always"})
+            with plan:
+                result = live.query([0, 7], 0.4, method=method)
+            assert plan.hits("shard.handle") == 0
+            assert not result.degraded, result.degraded_reason
+            assert result.epoch == 1
+
+    def test_lb_reads_its_epoch_while_an_update_lands(self, monkeypatch):
+        from repro.shard import engine as shard_engine
+
+        graph = uncertain_gnp(40, 0.12, seed=6)
+        before = _lb_answer(graph.copy(), [0], 0.4)
+        head = next(v for v in graph.nodes() if v not in before)
+        with LiveShardedEngine.build(
+            graph, shards=2, seed=7, mode="inline", transport="pickle",
+        ) as live:
+            real = shard_engine.most_likely_path_probabilities
+            landed = []
+
+            def racing_pass(*args, **kwargs):
+                # The query holds epoch 0's lease; publish epoch 1
+                # before its pass runs.
+                if not landed:
+                    updater = threading.Thread(
+                        target=lambda: landed.append(
+                            live.apply([("set", 0, head, 0.95)])
+                        )
+                    )
+                    updater.start()
+                    updater.join(timeout=60)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(
+                shard_engine, "most_likely_path_probabilities", racing_pass
+            )
+            during = live.query([0], 0.4, method="lb")
+            assert landed == [1]
+            assert live.epoch == 1
+            assert during.epoch == 0
+            assert during.nodes == before
+            after = live.query([0], 0.4, method="lb")
+            assert after.epoch == 1
+            assert head in after.nodes
+
+
+class TestStaleShardResponses:
+    def test_newer_epoch_certificates_are_demoted(self, fresh_registry):
+        graph = uncertain_gnp(40, 0.12, seed=6)
+        before = graph.copy()
+        reach = most_likely_path_probabilities(before, [0])
+        # Packing (3 paths) cannot lift a node this unlikely to 0.4.
+        head = next(v for v in before.nodes() if reach.get(v, 0.0) < 0.1)
+        with LiveShardedEngine.build(
+            graph, shards=1, seed=7, mode="inline", transport="pickle",
+        ) as live:
+            client = live._client(0)
+            real_submit = client.submit
+            landed = []
+
+            def racing_submit(request):
+                # The query holds epoch 0's lease; move the shard to
+                # epoch 1, where head is certain, before it answers.
+                if not landed:
+                    landed.append(live.apply([("set", 0, head, 0.95)]))
+                return real_submit(request)
+
+            client.submit = racing_submit
+            during = live.query([0], 0.4, method="lb+")
+        assert landed == [1]
+        assert fresh_registry.counter("live.stale_shard_responses").value == 1
+        assert during.epoch == 0
+        assert not during.degraded
+        # The shard's epoch-1 certificate for head was demoted to a
+        # candidate and rejected on epoch 0's graph.
+        assert head in during.candidate_result.candidates
+        assert head not in during.nodes
+        assert during.nodes == _reverified_lbplus(before, [0], 0.4, during)
+
+
+# ----------------------------------------------------------------------
 # Rebalancing
 # ----------------------------------------------------------------------
 class TestRebalance:
@@ -663,41 +816,63 @@ class TestRebalance:
                 apply_to_graph(mirror, batch)
             got = live.query([0, 9], 0.4, method="lb")
             assert got.nodes == _lb_answer(mirror, [0, 9], 0.4)
+            # lb+ scatters to the rebalanced shards and keeps lb.
+            scattered = live.query([0, 9], 0.4, method="lb+")
+            assert not scattered.degraded
+            assert got.nodes <= scattered.nodes
+            assert scattered.nodes == _reverified_lbplus(
+                mirror, [0, 9], 0.4, scattered
+            )
             assert fresh_registry.counter("live.rebalances").value == 1
 
     def test_mid_stream_rebalance_zero_failed_zero_stale(self):
         """The acceptance criterion: queries racing a rebalance (and
         updates) neither fail nor observe a cross-epoch answer.
 
-        ``lb`` is deterministic per graph, so "not stale" is checkable
+        ``lb`` and ``mc`` at ``mc_refine_floor=0`` are deterministic per
+        graph, whatever the shard count, so "not stale" is checkable
         exactly: whatever epoch a result reports, its node set must be
-        the cold-rebuild answer *for that epoch's graph*.
+        the cold answer *for that epoch's graph*.  ``lb`` is answered by
+        the gateway alone; ``mc`` scatters to the shards being
+        rebalanced.
         """
         graph = uncertain_gnp(50, 0.1, seed=12)
         ops = _stream(graph.copy(), 120)
         batches = _batches(ops, 30)
         # Precompute the per-epoch reference answers.
         mirror = graph.copy()
-        reference = {0: _lb_answer(mirror, [2], 0.4)}
+        reference = {
+            "lb": {0: _lb_answer(mirror, [2], 0.4)},
+            "mc": {0: _mc_floor0_answer(mirror, [2], 0.4)},
+        }
         for epoch, batch in enumerate(batches, start=1):
             apply_to_graph(mirror, batch)
-            reference[epoch] = _lb_answer(mirror, [2], 0.4)
+            reference["lb"][epoch] = _lb_answer(mirror, [2], 0.4)
+            reference["mc"][epoch] = _mc_floor0_answer(mirror, [2], 0.4)
+        assert len({frozenset(a) for a in reference["mc"].values()}) > 1
 
         failures, observations = [], []
         stop = threading.Event()
+        queries = {"lb": {"method": "lb"}, "mc": _MC_FLOOR0}
 
         with LiveShardedEngine.build(
             graph, shards=2, seed=7, mode="inline", transport="pickle",
+            mc_refine_floor=0.0,
         ) as live:
-            def hammer():
+            def hammer(kind):
                 while not stop.is_set():
                     try:
-                        result = live.query([2], 0.4, method="lb")
-                        observations.append((result.epoch, result.nodes))
+                        result = live.query([2], 0.4, **queries[kind])
+                        observations.append(
+                            (kind, result.epoch, result.nodes)
+                        )
                     except Exception as error:  # noqa: BLE001
                         failures.append(error)
 
-            threads = [threading.Thread(target=hammer) for _ in range(4)]
+            threads = [
+                threading.Thread(target=hammer, args=(kind,))
+                for kind in ("lb", "mc", "lb", "mc")
+            ]
             for thread in threads:
                 thread.start()
             try:
@@ -712,10 +887,12 @@ class TestRebalance:
                     thread.join(timeout=30)
 
         assert not failures, failures[:3]
-        assert observations, "hammer threads never completed a query"
-        for epoch, nodes in observations:
-            assert nodes == reference[epoch], (
-                f"epoch {epoch} answer diverged from its own graph"
+        assert {kind for kind, _, _ in observations} == {"lb", "mc"}, (
+            "hammer threads never completed a query"
+        )
+        for kind, epoch, nodes in observations:
+            assert nodes == reference[kind][epoch], (
+                f"epoch {epoch} {kind} answer diverged from its own graph"
             )
 
     def test_maybe_rebalance_honours_watermarks(self):
@@ -770,6 +947,13 @@ class TestProcessShmEpochs:
                 got = live.query([0, 5], 0.4, method="lb")
                 assert not got.degraded
                 assert got.nodes == _lb_answer(mirror, [0, 5], 0.4)
+                # lb+ reaches the process workers at this epoch.
+                scattered = live.query([0, 5], 0.4, method="lb+")
+                assert not scattered.degraded
+                assert got.nodes <= scattered.nodes
+                assert scattered.nodes == _reverified_lbplus(
+                    mirror, [0, 5], 0.4, scattered
+                )
             assert live.epoch == 3
             # Superseded epochs drained; only the live topology's
             # segments (plus whatever predates this test) remain.
@@ -800,14 +984,23 @@ class TestProcessShmEpochs:
             victim._process.join(timeout=10)
             live.apply(batches[1])
             apply_to_graph(mirror, batches[1])
+            expect = _lb_answer(mirror, [0, 5], 0.4)
+            # lb counterpart: the gateway answers it with the worker
+            # still dead — exact and not degraded.
+            lb = live.query([0, 5], 0.4, method="lb")
+            assert not lb.degraded
+            assert lb.nodes == expect
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
-                got = live.query([0, 5], 0.4, method="lb")
+                got = live.query([0, 5], 0.4, method="lb+")
                 if not got.degraded:
                     break
                 time.sleep(0.2)
             assert not got.degraded, "supervisor never healed the shard"
-            assert got.nodes == _lb_answer(mirror, [0, 5], 0.4)
+            assert got.epoch == 2
+            assert expect <= got.nodes
+            # The respawned worker certifies from epoch 2's graph.
+            assert got.nodes == _reverified_lbplus(mirror, [0, 5], 0.4, got)
         assert _csr_segments() <= baseline
 
 

@@ -5,7 +5,14 @@ workload, a sharded engine — whatever ``K``, execution mode, injected
 faults, or expired budgets — must answer exactly like the plain
 single-process engine for ``method="lb"``, bit-identically across shard
 counts for ``method="mc"`` at ``mc_refine_floor=0``, and *soundly*
-(never-wrong subsets) whenever it reports a degraded answer.  The rest
+(never-wrong subsets) whenever it reports a degraded answer.
+
+``lb`` and ``exact`` are answered by the gateway's whole-graph pass and
+submit no sub-query, so the checks that probe the shard fabric (faults,
+dead workers, the scatter race, metrics) use ``lb+``: it scatters, it
+is deterministic and sound, and its answer always contains the
+whole-graph ``lb`` answer.  Each such check has an ``lb`` counterpart:
+under the same fault, ``lb`` stays exact and is not degraded.  The rest
 covers the tier's own machinery: the partition plan, the picklable
 worker payloads, the process transport, and the service integration.
 """
@@ -18,10 +25,16 @@ import pytest
 
 from repro import RQTreeEngine
 from repro.errors import PartitionError, ShardUnavailableError
+from repro.core.engine import height_ratio
 from repro.graph.exact import exact_reliability_search
 from repro.graph.generators import uncertain_gnp, uncertain_path
+from repro.graph.paths import (
+    hop_bounded_path_probabilities,
+    most_likely_path_probabilities,
+)
 from repro.graph.uncertain import UncertainGraph
 from repro.resilience import CONFIRMED, UNVERIFIED, FaultPlan, QueryBudget
+from repro.seeding import derive_seed
 from repro.service.metrics import MetricsRegistry, set_registry
 from repro.shard import (
     InlineShardClient,
@@ -73,6 +86,20 @@ def fingerprint(result):
         result.eta,
         tuple(result.sources),
     )
+
+
+def truncated_pass(graph, sources, eta, max_hops=None):
+    """The whole-graph η-truncated most-likely-path answer, with L_R."""
+    cutoff = eta * (1.0 - 1e-9)
+    if max_hops is None:
+        reached = most_likely_path_probabilities(
+            graph, sources, min_probability=cutoff
+        )
+    else:
+        reached = hop_bounded_path_probabilities(
+            graph, sources, max_hops, min_probability=cutoff
+        )
+    return {node: p for node, p in reached.items() if p >= cutoff}
 
 
 # ----------------------------------------------------------------------
@@ -277,13 +304,124 @@ class TestInlineParity:
         with ShardedRQTreeEngine.build(
             medium_graph, shards=2, seed=7, mode="inline"
         ) as sharded:
+            sharded.query(0, eta=0.3, method="lb+")
+            snapshot = fresh_registry.snapshot()
+            assert snapshot["counters"]["shard.queries"] == 1
+            owner = build_shard_plan(medium_graph, 2, seed=7).owner(0)
+            assert snapshot["counters"][f"shard.{owner}.queries"] == 1
+            assert "shard.scatter_seconds" in snapshot["histograms"]
+            assert "shard.refine_seconds" in snapshot["histograms"]
+            # lb counterpart: counted as a sharded query, refined at
+            # the gateway, but no sub-query and no scatter.
             sharded.query(0, eta=0.3)
-        snapshot = fresh_registry.snapshot()
-        assert snapshot["counters"]["shard.queries"] == 1
-        owner = build_shard_plan(medium_graph, 2, seed=7).owner(0)
-        assert snapshot["counters"][f"shard.{owner}.queries"] == 1
-        assert "shard.scatter_seconds" in snapshot["histograms"]
-        assert "shard.refine_seconds" in snapshot["histograms"]
+        after = fresh_registry.snapshot()
+        assert after["counters"]["shard.queries"] == 2
+        assert after["counters"][f"shard.{owner}.queries"] == 1
+        assert after["histograms"]["shard.scatter_seconds"]["count"] == 1
+        assert after["histograms"]["shard.refine_seconds"]["count"] == 2
+
+
+# ----------------------------------------------------------------------
+# lb and exact: answered by the gateway, no sub-query
+# ----------------------------------------------------------------------
+class TestGatewayAnswers:
+    @pytest.mark.parametrize("method", ["lb", "exact"])
+    def test_submits_no_sub_query(self, sharded4, method):
+        plan = FaultPlan({"shard.handle": "always"})
+        with plan:
+            result = sharded4.query([0, 123], eta=0.3, method=method)
+        assert plan.hits("shard.handle") == 0
+        assert not result.degraded, result.degraded_reason
+        assert result.candidate_result.clusters_visited == 0
+        assert result.candidate_result.flow_calls == 0
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("max_hops", [None, 3])
+    def test_lb_is_the_truncated_pass(self, medium_graph, shards, max_hops):
+        with ShardedRQTreeEngine.build(
+            medium_graph, shards=shards, seed=7, mode="inline"
+        ) as sharded:
+            for sources in ([0], [3, 200, 77], [123]):
+                for eta in ETAS:
+                    reached = truncated_pass(
+                        medium_graph, sources, eta, max_hops
+                    )
+                    result = sharded.query(
+                        sources, eta=eta, method="lb", max_hops=max_hops
+                    )
+                    assert result.nodes == set(reached)
+                    assert result.statuses == dict.fromkeys(
+                        reached, CONFIRMED
+                    )
+                    assert result.estimates == reached
+                    assert all(result.estimates[s] == 1.0 for s in sources)
+                    assert result.candidate_result.candidates == set(reached)
+                    assert not result.degraded
+
+    def test_expired_deadline_returns_the_sources(self, sharded4):
+        result = sharded4.query(
+            [0, 123], eta=0.3, method="lb",
+            budget=QueryBudget(deadline_seconds=1e-9),
+        )
+        assert result.degraded
+        assert "deadline" in result.degraded_reason
+        assert result.nodes == {0, 123}
+        assert result.statuses == {0: CONFIRMED, 123: CONFIRMED}
+
+    def test_candidate_cap_does_not_apply_to_lb(self, medium_graph,
+                                                sharded4):
+        result = sharded4.query(
+            0, eta=0.3, method="lb",
+            budget=QueryBudget(max_candidate_nodes=1),
+        )
+        assert not result.degraded, result.degraded_reason
+        assert result.nodes == set(truncated_pass(medium_graph, [0], 0.3))
+        assert len(result.nodes) > 1
+
+
+# ----------------------------------------------------------------------
+# Height ratio: the highest per-shard climb
+# ----------------------------------------------------------------------
+class TestHeightRatio:
+    def test_single_shard_reads_its_own_tree(self, medium_graph, sharded1):
+        plain = RQTreeEngine.build(
+            medium_graph, seed=derive_seed(7, "shard.build", 0)
+        )
+        ratios = []
+        for source in SOURCES:
+            expect = plain.query(source, eta=0.3, method="lb").height_ratio
+            for method in ("lb+", "mc"):
+                got = sharded1.query(
+                    source, eta=0.3, method=method, num_samples=200, seed=1
+                )
+                assert got.height_ratio == pytest.approx(expect)
+            ratios.append(expect)
+        assert min(ratios) < 1.0  # the walks did not all climb to the root
+
+    def test_multi_shard_reports_the_highest_climb(self, sharded4):
+        sources = [3, 200, 77]  # spans several shards
+        by_shard = {}
+        for node in sources:
+            by_shard.setdefault(sharded4.plan.owner(node), []).append(node)
+        assert len(by_shard) > 1
+        per_shard = []
+        for shard_id, owned in by_shard.items():
+            client = sharded4._client(shard_id)
+            response = client.wait(
+                client.submit({"sources": owned, "eta": 0.3})
+            )
+            per_shard.append(
+                height_ratio(
+                    response["tree_height"], response["min_selected_depth"]
+                )
+            )
+        got = sharded4.query(sources, eta=0.3, method="lb+")
+        assert got.height_ratio == pytest.approx(max(per_shard))
+        assert got.height_ratio < 1.0
+
+    @pytest.mark.parametrize("method", ["lb", "exact"])
+    def test_no_walk_reads_zero(self, sharded4, method):
+        assert sharded4.query(0, eta=0.3, method=method).height_ratio == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -293,16 +431,19 @@ class TestDegradation:
     def test_expired_budget_answers_are_sound(self, medium_engine,
                                               sharded4):
         budget = QueryBudget(deadline_seconds=1e-9)
-        result = sharded4.query(0, eta=0.3, method="lb", budget=budget)
-        assert result.degraded
-        assert result.degraded_reason
         truth = set(medium_engine.query(0, eta=0.3, method="lb").nodes)
-        assert set(result.nodes) <= truth          # never wrong
-        assert 0 in result.nodes                   # sources stay in
-        assert all(
-            result.statuses[n] in (CONFIRMED, UNVERIFIED)
-            for n in result.statuses
-        )
+        # lb+ scatters the expired budget to the shards.
+        for method in ("lb+", "lb"):
+            result = sharded4.query(0, eta=0.3, method=method,
+                                    budget=budget)
+            assert result.degraded
+            assert result.degraded_reason
+            assert set(result.nodes) <= truth          # never wrong
+            assert 0 in result.nodes                   # sources stay in
+            assert all(
+                result.statuses[n] in (CONFIRMED, UNVERIFIED)
+                for n in result.statuses
+            )
 
     def test_faulted_shards_degrade_but_lb_stays_exact(
         self, medium_engine, sharded4
@@ -311,13 +452,20 @@ class TestDegradation:
         expect = set(medium_engine.query(0, eta=0.3, method="lb").nodes)
         plan = FaultPlan({"shard.handle": "always"})
         with plan:
-            result = sharded4.query(0, eta=0.3, method="lb")
+            result = sharded4.query(0, eta=0.3, method="lb+")
         assert plan.hits("shard.handle") >= 1
         assert result.degraded
         assert "shard" in result.degraded_reason
-        # The gateway's refinement recomputes lb from the whole graph,
-        # so even a query that lost every shard answers exactly.
-        assert set(result.nodes) == expect
+        # The gateway's refinement certifies every whole-graph lb node,
+        # so even a query that lost every shard keeps the lb answer.
+        assert expect <= set(result.nodes)
+        assert all(result.statuses[n] == CONFIRMED for n in result.nodes)
+        # lb counterpart: no shard is asked, so the fault cannot touch it.
+        with plan:
+            lb = sharded4.query(0, eta=0.3, method="lb")
+        assert plan.hits("shard.handle") == 1
+        assert not lb.degraded
+        assert set(lb.nodes) == expect
 
     def test_seeded_fault_storm_never_changes_lb_answers(
         self, medium_engine, sharded4
@@ -328,10 +476,22 @@ class TestDegradation:
             )
             for s in (0, 123) for eta in (0.2, 0.5)
         }
-        with FaultPlan.seeded(3, ["shard.handle"], probability=0.5):
+        fault_free = {
+            key: fingerprint(sharded4.query(key[0], eta=key[1],
+                                            method="lb+"))
+            for key in expects
+        }
+        plan = FaultPlan.seeded(3, ["shard.handle"], probability=0.5)
+        with plan:
             for (s, eta), expect in expects.items():
-                got = sharded4.query(s, eta=eta, method="lb")
-                assert set(got.nodes) == expect
+                got = sharded4.query(s, eta=eta, method="lb+")
+                assert expect <= set(got.nodes)
+                if not got.degraded:
+                    assert fingerprint(got) == fault_free[(s, eta)]
+                lb = sharded4.query(s, eta=eta, method="lb")
+                assert set(lb.nodes) == expect
+                assert not lb.degraded
+        assert plan.hits("shard.handle") >= 1
 
     def test_closed_engine_refuses_queries(self, medium_graph):
         sharded = ShardedRQTreeEngine.build(
@@ -355,13 +515,26 @@ class TestProcessMode:
         ) as sharded:
             assert sharded.num_shards == 2
             assert sharded.tree_height >= 1
-            for sources, eta in (([0], 0.3), ([5, 60], 0.5), ([17], 0.7)):
-                expect = set(
-                    plain.query(sources, eta=eta, method="lb").nodes
-                )
-                got = sharded.query(sources, eta=eta, method="lb")
-                assert set(got.nodes) == expect
-                assert not got.degraded
+            with ShardedRQTreeEngine.build(
+                graph, shards=2, seed=3, mode="inline"
+            ) as inline:
+                for sources, eta in (
+                    ([0], 0.3), ([5, 60], 0.5), ([17], 0.7)
+                ):
+                    expect = set(
+                        plain.query(sources, eta=eta, method="lb").nodes
+                    )
+                    got = sharded.query(sources, eta=eta, method="lb")
+                    assert set(got.nodes) == expect
+                    assert not got.degraded
+                    # lb+ reaches the workers: same answer as the
+                    # in-process runtimes, and it keeps the lb answer.
+                    got = sharded.query(sources, eta=eta, method="lb+")
+                    assert not got.degraded, got.degraded_reason
+                    assert expect <= set(got.nodes)
+                    assert fingerprint(got) == fingerprint(
+                        inline.query(sources, eta=eta, method="lb+")
+                    )
 
     def test_cross_shard_scatter_is_not_degraded(self):
         # Regression: the gateway submits to every owning shard before
@@ -380,12 +553,14 @@ class TestProcessMode:
                 by_owner.setdefault(owner, node)
             sources = sorted(by_owner.values())  # one source per shard
             assert len({owners[s] for s in sources}) == sharded.num_shards
+            expect = set(plain.query(sources, eta=0.4, method="lb").nodes)
+            answers = set()
             for _ in range(3):  # repeat: the race was timing-dependent
-                got = sharded.query(sources, eta=0.4, method="lb")
+                got = sharded.query(sources, eta=0.4, method="lb+")
                 assert not got.degraded, got.degraded_reason
-                assert set(got.nodes) == set(
-                    plain.query(sources, eta=0.4, method="lb").nodes
-                )
+                assert expect <= set(got.nodes)
+                answers.add(fingerprint(got))
+            assert len(answers) == 1
 
     def test_dead_worker_degrades_but_lb_stays_exact(self):
         graph = uncertain_gnp(80, 0.05, seed=6)
@@ -396,11 +571,14 @@ class TestProcessMode:
             victim = sharded.plan.owner(0)
             sharded._clients[victim]._process.terminate()
             sharded._clients[victim]._process.join(timeout=10)
-            result = sharded.query(0, eta=0.4, method="lb")
+            expect = set(plain.query(0, eta=0.4, method="lb").nodes)
+            result = sharded.query(0, eta=0.4, method="lb+")
             assert result.degraded
-            assert set(result.nodes) == set(
-                plain.query(0, eta=0.4, method="lb").nodes
-            )
+            assert expect <= set(result.nodes)
+            # lb counterpart: the dead worker is never asked.
+            lb = sharded.query(0, eta=0.4, method="lb")
+            assert not lb.degraded
+            assert set(lb.nodes) == expect
 
 
 # ----------------------------------------------------------------------

@@ -122,6 +122,8 @@ def test_shm_payload_rebuilds_identical_runtime(graph):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_lb_bit_identical_across_transports_and_shards(graph, shards):
+    # lb never reaches a shard; lb+ is the deterministic method that
+    # reads what each transport rebuilt.
     results = {}
     for transport in ("pickle", "shm"):
         engine = ShardedRQTreeEngine.build(
@@ -130,7 +132,11 @@ def test_lb_bit_identical_across_transports_and_shards(graph, shards):
         )
         try:
             results[transport] = [
-                engine.query([s], eta, method="lb").nodes
+                (
+                    engine.query([s], eta, method="lb").nodes,
+                    engine.query([s], eta, method="lb+").nodes,
+                    engine.query([s], eta, method="lb+").statuses,
+                )
                 for s, eta in ((0, 0.4), (5, 0.25), (17, 0.6))
             ]
         finally:
@@ -201,9 +207,13 @@ def test_sigkilled_worker_leaks_nothing(graph):
         assert _wait_until(lambda: not victim.is_alive())
         # The segment must survive its worker: the creator owns it.
         assert len(_shm_entries() - before) == 2
-        # And the engine still answers (degraded, never wrong).
-        result = engine.query([0], 0.4, method="lb")
+        # And the engine still answers (degraded, never wrong)...
+        result = engine.query([0], 0.4, method="lb+")
         assert result.degraded
+        # ...while lb, which asks no shard, is not degraded at all.
+        lb = engine.query([0], 0.4, method="lb")
+        assert not lb.degraded
+        assert set(lb.nodes) <= set(result.nodes)
     finally:
         engine.close()
     assert _shm_entries() - before == set()

@@ -6,9 +6,13 @@ a worker dies are redispatched onto its respawned replacement (or
 degrade with a structured reason — never hang), the per-shard circuit
 breaker walks healthy -> open-circuit -> half-open -> healthy, a
 crash-looping shard parks with its last error instead of burning CPU
-forever, and ``method="lb"`` answers stay bit-identical to a fault-free
-run throughout (the gateway's refinement pass recomputes lb exactly,
-whatever the shards managed to contribute).
+forever, and a recovered answer is bit-identical to a fault-free run.
+
+The probes query with ``method="lb+"``: it scatters to the shards, is
+deterministic, and always contains the whole-graph ``lb`` answer.  Each
+fault test also checks its ``lb`` counterpart — ``lb`` is answered by
+the gateway's whole-graph pass alone, so under the same fault it stays
+exact and is not degraded.
 """
 
 from __future__ import annotations
@@ -97,15 +101,25 @@ class TestInlineSupervision:
             yield engine
 
     def test_supervised_answers_match_unsupervised(
-        self, plain, supervised
+        self, graph, plain, supervised
     ):
         assert supervised.supervisor is not None
-        for sources, eta in (([0], 0.3), ([5, 60], 0.5), ([17], 0.7)):
-            expect = set(plain.query(sources, eta=eta, method="lb").nodes)
-            got = supervised.query(sources, eta=eta, method="lb")
-            assert set(got.nodes) == expect
-            assert not got.degraded
-            assert got.shards_recovered == 0
+        with ShardedRQTreeEngine.build(
+            graph, shards=2, seed=3, mode="inline"
+        ) as unsupervised:
+            for sources, eta in (([0], 0.3), ([5, 60], 0.5), ([17], 0.7)):
+                expect = set(
+                    plain.query(sources, eta=eta, method="lb").nodes
+                )
+                got = supervised.query(sources, eta=eta, method="lb")
+                assert set(got.nodes) == expect
+                assert not got.degraded
+                got = supervised.query(sources, eta=eta, method="lb+")
+                assert not got.degraded
+                assert got.shards_recovered == 0
+                assert fingerprint(got) == fingerprint(
+                    unsupervised.query(sources, eta=eta, method="lb+")
+                )
         states = supervised.shard_states()
         assert set(states) == {0, 1}
         for state in states.values():
@@ -125,16 +139,23 @@ class TestInlineSupervision:
     def test_killed_client_recovers_in_flight_query(
         self, plain, supervised
     ):
+        expected = fingerprint(supervised.query(0, eta=0.4, method="lb+"))
         victim = supervised.plan.owner(0)
         supervised.supervisor.client(victim).close()
-        result = supervised.query(0, eta=0.4, method="lb")
+        result = supervised.query(0, eta=0.4, method="lb+")
         # The in-flight sub-query was redispatched onto the respawned
         # worker: answered, not degraded, and marked as recovered.
         assert not result.degraded, result.degraded_reason
         assert result.shards_recovered >= 1
-        assert set(result.nodes) == set(
-            plain.query(0, eta=0.4, method="lb").nodes
-        )
+        assert fingerprint(result) == expected
+        lb = set(plain.query(0, eta=0.4, method="lb").nodes)
+        assert lb <= set(result.nodes)
+        # lb counterpart: exact, not degraded, nothing to recover.
+        supervised.supervisor.client(victim).close()
+        answer = supervised.query(0, eta=0.4, method="lb")
+        assert not answer.degraded
+        assert answer.shards_recovered == 0
+        assert set(answer.nodes) == lb
         wait_until(
             lambda: supervised.shard_states()[victim]["state"]
             == SHARD_HEALTHY
@@ -170,13 +191,16 @@ class TestInlineSupervision:
             # that survives into the degraded answer...
             with pytest.raises(ShardUnavailableError, match="parked"):
                 engine.supervisor.submit(victim, {"sources": [0]})
-            result = engine.query(0, eta=0.4, method="lb")
+            expect = set(plain.query(0, eta=0.4, method="lb").nodes)
+            result = engine.query(0, eta=0.4, method="lb+")
             assert result.degraded
             assert "parked" in result.degraded_reason
-            # ...while refinement keeps the lb node set exact.
-            assert set(result.nodes) == set(
-                plain.query(0, eta=0.4, method="lb").nodes
-            )
+            # ...while refinement keeps the whole-graph lb answer...
+            assert expect <= set(result.nodes)
+            # ...and lb itself, which asks no shard, stays exact.
+            lb = engine.query(0, eta=0.4, method="lb")
+            assert not lb.degraded
+            assert set(lb.nodes) == expect
             snapshot = fresh_registry.snapshot()
             assert snapshot["counters"]["shard.supervisor.parked"] >= 1
             # A park is terminal: no further respawn attempts burn CPU.
@@ -209,6 +233,25 @@ class TestInlineSupervision:
             assert counters["shard.supervisor.respawn_failures"] >= 1
             assert counters["shard.supervisor.recoveries"] >= 1
 
+    def test_stale_failure_report_keeps_the_replacement(self, supervised):
+        # The monitor can respawn a dead worker before the gateway's
+        # own wait notices the death; that late report names the dead
+        # client and must not discard the healthy replacement.
+        victim = supervised.plan.owner(0)
+        dead = supervised.supervisor.client(victim)
+        dead.close()
+        wait_until(
+            lambda: supervised.supervisor.client(victim) is not dead
+            and supervised.shard_states()[victim]["state"] == SHARD_HEALTHY,
+            message="respawned shard back to healthy",
+        )
+        replacement = supervised.supervisor.client(victim)
+        supervised.supervisor.report_failure(victim, "late", client=dead)
+        assert supervised.supervisor.client(victim) is replacement
+        state = supervised.shard_states()[victim]
+        assert state["state"] == SHARD_HEALTHY
+        assert state["respawns"] == 1
+
     def test_application_errors_do_not_cycle_workers(self, supervised):
         # A malformed request is the *request's* fault: the worker
         # answered, so the breaker must not trip (cycling a healthy
@@ -226,7 +269,7 @@ class TestInlineSupervision:
     def test_hedge_delay_derives_from_observed_latency(self, supervised):
         assert supervised.supervisor.hedge_delay(0) is None  # no samples
         for _ in range(10):
-            supervised.query(0, eta=0.4, method="lb")
+            supervised.query(0, eta=0.4, method="lb+")
         delay = supervised.supervisor.hedge_delay(
             supervised.plan.owner(0)
         )
@@ -247,6 +290,7 @@ class TestProcessSupervision:
             transport=transport,
             supervise=True, supervisor_policy=FAST,
         ) as engine:
+            expected = fingerprint(engine.query(0, eta=0.4, method="lb+"))
             victim = engine.plan.owner(0)
             pid = engine.supervisor.client(victim)._process.pid
             # Freeze the victim so the sub-query is guaranteed to still
@@ -255,7 +299,7 @@ class TestProcessSupervision:
             outcome = {}
 
             def run():
-                outcome["result"] = engine.query(0, eta=0.4, method="lb")
+                outcome["result"] = engine.query(0, eta=0.4, method="lb+")
 
             thread = threading.Thread(target=run)
             thread.start()
@@ -264,15 +308,20 @@ class TestProcessSupervision:
             thread.join(timeout=120.0)
             assert not thread.is_alive(), "query hung after worker SIGKILL"
             result = outcome["result"]
-            # Redispatched or degraded-with-reason — and exact either
-            # way, because refinement recomputes lb in the gateway.
+            # Redispatched (then equal to the fault-free answer) or
+            # degraded-with-reason — and it keeps the whole-graph lb
+            # answer either way, which refinement certifies.
+            lb = set(plain.query(0, eta=0.4, method="lb").nodes)
             if result.degraded:
                 assert result.degraded_reason
             else:
                 assert result.shards_recovered >= 1
-            assert set(result.nodes) == set(
-                plain.query(0, eta=0.4, method="lb").nodes
-            )
+                assert fingerprint(result) == expected
+            assert lb <= set(result.nodes)
+            # lb counterpart: the killed worker is never asked.
+            answer = engine.query(0, eta=0.4, method="lb")
+            assert not answer.degraded
+            assert set(answer.nodes) == lb
             wait_until(
                 lambda: all_healthy(engine),
                 message="killed worker back to healthy",
@@ -303,9 +352,13 @@ class TestProcessSupervision:
             supervise=True, supervisor_policy=FAST,
         ) as engine:
             expected = [
-                fingerprint(engine.query(s, eta=eta, method="lb"))
+                fingerprint(engine.query(s, eta=eta, method="lb+"))
                 for s, eta in queries
             ]
+            expected_lb = {
+                (tuple(s), eta): set(engine.query(s, eta=eta).nodes)
+                for s, eta in schedule
+            }
 
         kills = {shard_id: 0 for shard_id in range(3)}
         with ShardedRQTreeEngine.build(
@@ -319,19 +372,26 @@ class TestProcessSupervision:
                     if client._process.is_alive():
                         os.kill(client._process.pid, signal.SIGKILL)
                         kills[target] += 1
-                result = engine.query(sources, eta=eta, method="lb")
-                # The lb *answer* is bit-identical always (refinement
-                # recomputes it exactly); the full fingerprint —
-                # including the candidate pool's rejection statuses —
-                # matches whenever the supervisor recovered the shard
-                # rather than failing fast on an open breaker.
-                assert tuple(sorted(result.nodes)) == expected[index][0], (
-                    f"query {index} nodes diverged under faults"
+                result = engine.query(sources, eta=eta, method="lb+")
+                lb = expected_lb[(tuple(sources), eta)]
+                # The answer always keeps the whole-graph lb answer
+                # (refinement certifies it); the full fingerprint —
+                # including the pool's rejection statuses — matches
+                # whenever the supervisor recovered the shard rather
+                # than failing fast on an open breaker.
+                assert lb <= set(result.nodes), (
+                    f"query {index} lost lb nodes under faults"
                 )
                 if not result.degraded:
                     assert fingerprint(result) == expected[index], (
                         f"query {index} diverged under faults"
                     )
+                # lb counterpart: bit-identical and never degraded.
+                answer = engine.query(sources, eta=eta, method="lb")
+                assert not answer.degraded
+                assert set(answer.nodes) == lb, (
+                    f"query {index} lb nodes diverged under faults"
+                )
             assert all(count >= 1 for count in kills.values()), kills
             wait_until(
                 lambda: all_healthy(engine),
