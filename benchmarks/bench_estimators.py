@@ -20,13 +20,16 @@ queries where no single fixed method wins everywhere —
   BFS-sharing sampler wins and the exact method must fall back.
 
 Every fixed estimator (``mc``, ``rss``, ``lazy``, ``exact``) and the
-cost-based planner (``auto``) run the whole workload.  Each method is
-scored in *regret seconds*: wall-clock elapsed plus an accuracy
-penalty (``ERROR_WEIGHT`` seconds per unit of mean absolute error
-against a reference answer — exact frontier conditioning on the tiny
-instances, a high-budget independently-seeded lazy run on the mid
-instances).  The bound-only methods (``lb``/``lb+``) answer a
-one-sided certification problem and are out of scope here.
+cost-based planner (``auto``) run the whole workload ``PASSES`` times.
+Each method is scored in *regret seconds*: the median wall-clock total
+of its passes plus an accuracy penalty (``ERROR_WEIGHT`` seconds per
+unit of mean absolute error against a reference answer — exact
+frontier conditioning on the tiny instances, a high-budget
+independently-seeded lazy run on the mid instances).  Answers repeat
+per seed, so every pass has the same error term; the median keeps one
+pass slowed by the host from deciding the comparison.  The bound-only
+methods (``lb``/``lb+``) answer a one-sided certification problem and
+are out of scope here.
 
 Headline assertion (the ISSUE's acceptance bar): ``auto`` never loses
 to the worst fixed method and beats the best fixed method on the mixed
@@ -74,6 +77,8 @@ ETA = 0.2
 QUERY_SEED = 5
 #: Regret exchange rate: seconds charged per unit of mean abs error.
 ERROR_WEIGHT = 2.0
+#: Timed passes of each method over the workload (median total used).
+PASSES = 5
 
 TINY_COUNT = 4 if QUICK else 10
 TINY_SAMPLES = 8000 if QUICK else 20000
@@ -202,24 +207,38 @@ def _mid_instances():
 
 
 def _run_method(method, workload):
-    """One method over the whole workload: (total_seconds,
-    mean_abs_error, regret_seconds, estimators_used)."""
-    total = 0.0
-    errors = []
-    used = []
-    for engine, truth, samples in workload:
-        start = time.perf_counter()
-        result = engine.query(
-            [0], ETA, method=method, num_samples=samples, seed=QUERY_SEED
+    """One method over the whole workload, ``PASSES`` times:
+    (median total_seconds, mean_abs_error, regret_seconds,
+    estimators_used)."""
+    totals = []
+    answers = None
+    for _ in range(PASSES):
+        total = 0.0
+        results = []
+        for engine, truth, samples in workload:
+            start = time.perf_counter()
+            result = engine.query(
+                [0], ETA, method=method, num_samples=samples,
+                seed=QUERY_SEED,
+            )
+            total += time.perf_counter() - start
+            results.append((result.estimator or method, result.estimates))
+        totals.append(total)
+        # Seeded answers repeat, so the error term is the same each pass.
+        assert answers is None or results == answers, (
+            f"{method}: answers changed between passes"
         )
-        total += time.perf_counter() - start
-        errors.append(statistics.fmean(
-            abs(result.estimates.get(n, 0.0) - v) for n, v in truth.items()
-        ))
-        used.append(result.estimator or method)
+        answers = results
+    errors = [
+        statistics.fmean(
+            abs(estimates.get(n, 0.0) - v) for n, v in truth.items()
+        )
+        for (_, estimates), (_, truth, _) in zip(answers, workload)
+    ]
+    total = statistics.median(totals)
     mean_error = statistics.fmean(errors)
     regret = total + ERROR_WEIGHT * sum(errors)
-    return total, mean_error, regret, used
+    return total, mean_error, regret, [used for used, _ in answers]
 
 
 def test_estimator_portfolio():
@@ -261,6 +280,7 @@ def test_estimator_portfolio():
         "quick_mode": QUICK,
         "eta": ETA,
         "error_weight_seconds": ERROR_WEIGHT,
+        "passes": PASSES,
         "tiny_instances": TINY_COUNT,
         "mid_instances": MID_COUNT,
         "sweep": records,
@@ -276,7 +296,8 @@ def test_estimator_portfolio():
               r["mean_abs_error"], r["regret_seconds"]) for r in records],
             title=f"Estimator portfolio, mixed workload "
             f"({TINY_COUNT} tiny + {MID_COUNT} mid queries; regret = "
-            f"seconds + {ERROR_WEIGHT:.0f} x mean abs error)",
+            f"median seconds of {PASSES} passes + {ERROR_WEIGHT:.0f} x "
+            f"mean abs error)",
         ) + f"\nauto chose: {decisions['auto']}",
     )
 

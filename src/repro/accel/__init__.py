@@ -12,8 +12,8 @@ runs that tally as bulk numpy work on the candidate subgraph:
 * :mod:`repro.accel.mc_kernel` — :class:`ReachPlan` (the candidate
   subgraph in local ids) and the batch-of-worlds frontier-expansion
   kernel :func:`sample_reach_batch` (packed ``uint64`` world bits,
-  bulk coin flips: each run draws its own coins from its own
-  ``default_rng(seed)``).
+  coins drawn per BFS level for the arcs the frontier leaves by: each
+  run draws its own coins from its own ``default_rng(seed)``).
 
 Failure contract
 ----------------
@@ -33,12 +33,13 @@ answer, let it propagate.
 from __future__ import annotations
 
 from .csr import CSRGraph, csr_snapshot
-from .mc_kernel import BatchReachResult, ReachPlan, sample_reach_batch
+from .mc_kernel import BatchReachResult, ReachPlan, Strata, sample_reach_batch
 
 __all__ = [
     "CSRGraph",
     "csr_snapshot",
     "BatchReachResult",
     "ReachPlan",
+    "Strata",
     "sample_reach_batch",
 ]

@@ -12,37 +12,46 @@ local ids equal to global ids.
 :func:`sample_reach_batch` then advances ``W`` worlds *simultaneously*
 by packing them into the bits of ``uint64`` words:
 
-* arc coins for a whole chunk are materialized in one
-  ``Generator.random`` draw over the plan's arcs and bit-packed into
-  ``coins[m_local, W/8]`` bytes, zero-padded to a multiple of 8 so
-  every row view-casts to ``uint64`` words;
 * reachability state is ``visited[n_local, W/8]`` /
   ``frontier[n_local, W/8]`` bitmaps — one word carries sixty-four
   worlds;
-* one BFS step is three vectorized passes: gather
-  ``frontier[src_of_each_in_arc] & coins``, OR-reduce the arc rows per
-  target node with ``np.bitwise_or.reduceat`` (the arcs are grouped by
-  target), and mask out already-visited targets.
+* one BFS level ANDs ``frontier[tail_of_each_active_arc]`` with the
+  arcs' coins, ORs the rows per target node, and masks out
+  already-visited targets;
+* coins follow the frontier, as the paper's lazy flipping does: a
+  level on which few arcs have a live tail (fewer than one in eight)
+  draws coins for those arcs only, one float32 uniform per (arc,
+  world), compared against the arc's probability and bit-packed; a
+  level on which many do reads one full coin table
+  (:func:`draw_coins`) over every arc of the plan, drawn the first
+  time such a level occurs in a chunk and reused by the chunk's later
+  ones.
 
-Memory and time therefore follow the candidate set: a 16-node
-candidate set on a 20,000-node graph draws coins for its own few dozen
-arcs only.
+Memory and time therefore follow the candidate set and the part of it
+the BFS reaches: a 16-node candidate set on a 20,000-node graph never
+touches the graph's other arcs, and a candidate set whose worlds stay
+small draws coins for the few arcs its frontiers leave by.
 
-Materializing every coin up front is *exactly* possible-world
-semantics — lazy per-arc flipping is justified in the paper precisely
-because it is distributionally equivalent to materializing the world
-first, and this kernel simply takes the other side of that equivalence.
-Coins the BFS never observes don't bias anything: they are independent
-of the reached set.
+This is exact possible-world semantics.  A node enters the frontier
+at most once per world (the ``visited`` mask), so the coin of arc
+``(u, v)`` in world ``w`` is read at most once — on the level where
+``u`` is in world ``w``'s frontier — and from exactly one source,
+that level's fresh draw or the shared table.  Every coin the BFS reads
+is therefore an independent Bernoulli(p) draw that no earlier step
+looked at, which is the paper's lazy flipping; coins drawn but never
+read bias nothing, being independent of the reached set.
 
-Worlds are processed in chunks sized to bound peak memory (the one-shot
-coin draw dominates), so ``K`` can be arbitrarily large; per-node hit
+Worlds are processed in chunks sized to bound peak memory (a full coin
+table dominates), so ``K`` can be arbitrarily large; per-node hit
 counts and per-world reached-set sizes are accumulated across chunks.
+:class:`Strata` splits a run's worlds into consecutive segments that
+fix chosen arcs' coins (recursive stratified sampling's strata), with
+hit counts kept per segment.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,13 +60,13 @@ from ..resilience.faultinject import fault_point
 from .csr import CSRGraph, csr_snapshot
 
 __all__ = [
-    "BatchReachResult", "ReachPlan", "draw_coins", "pack_world_bits",
-    "packed_columns", "sample_reach_batch",
+    "BatchReachResult", "ReachPlan", "Strata", "draw_coins",
+    "pack_world_bits", "packed_columns", "sample_reach_batch",
 ]
 
-#: Upper bound on (worlds per chunk) x arcs: the chunk's float32
-#: uniform draw is ``4 * m_local * W`` bytes, so 16M slots caps the
-#: transient at 64 MB (the packed state arrays are 32x smaller).
+#: Upper bound on (worlds per chunk) x arcs: a full coin table's
+#: float32 uniform draw is ``4 * m_local * W`` bytes, so 16M slots caps
+#: the transient at 64 MB (the packed state arrays are 32x smaller).
 _TARGET_SLOTS = 16_000_000
 #: Hard bounds on the world-chunk size.
 _MIN_CHUNK, _MAX_CHUNK = 8, 4096
@@ -136,19 +145,20 @@ class ReachPlan:
         inside[inside] = self.nodes[local[inside]] == ids[inside]
         return local[inside]
 
-    def with_forced_arcs(
-        self, arcs: Sequence[int], present: Sequence[bool]
-    ) -> "ReachPlan":
-        """A copy whose arcs ``arcs`` (plan arc indices) exist with
-        probability 1 where *present* is true and 0 where it is false —
-        one stratum of recursive stratified sampling."""
-        plan = object.__new__(ReachPlan)
-        for name in ReachPlan.__slots__:
-            setattr(plan, name, getattr(self, name))
-        probs = self.probs_f32.copy()
-        probs[list(arcs)] = [1.0 if flag else 0.0 for flag in present]
-        plan.probs_f32 = probs
-        return plan
+
+class Strata(NamedTuple):
+    """Consecutive world segments with some arcs' coins fixed.
+
+    The run's first ``sizes[0]`` worlds are segment 0, the next
+    ``sizes[1]`` segment 1, and so on.  In every world of segment
+    ``s``, arc ``arcs[i]`` (a plan arc index) exists exactly when
+    ``present[s][i]`` is true; every other arc keeps its random coin.
+    One segment per stratum of recursive stratified sampling.
+    """
+
+    arcs: Sequence[int]
+    present: Sequence[Sequence[bool]]
+    sizes: Sequence[int]
 
 
 class BatchReachResult:
@@ -159,6 +169,10 @@ class BatchReachResult:
     nodes:
         ``int64[n_local]`` — global id of each counted node (the plan's
         allowed nodes, ascending).
+    stratum_counts:
+        ``int64[segments, n_local]`` — in how many worlds of each
+        :class:`Strata` segment each of ``nodes`` was reached (one
+        segment, all worlds, for a run without strata).
     counts:
         ``int64[n_local]`` — in how many of the ``num_worlds`` worlds
         each of ``nodes`` was reached from the source set.
@@ -169,13 +183,19 @@ class BatchReachResult:
         Total number of worlds simulated.
     """
 
-    __slots__ = ("nodes", "counts", "world_sizes", "num_worlds")
+    __slots__ = (
+        "nodes", "stratum_counts", "counts", "world_sizes", "num_worlds",
+    )
 
     def __init__(
-        self, nodes: np.ndarray, counts: np.ndarray, world_sizes: np.ndarray
+        self,
+        nodes: np.ndarray,
+        stratum_counts: np.ndarray,
+        world_sizes: np.ndarray,
     ) -> None:
         self.nodes = nodes
-        self.counts = counts
+        self.stratum_counts = stratum_counts
+        self.counts = stratum_counts.sum(axis=0)
         self.world_sizes = world_sizes
         self.num_worlds = int(world_sizes.shape[0])
 
@@ -207,6 +227,13 @@ def pack_world_bits(raw: np.ndarray) -> np.ndarray:
     return padded
 
 
+def _coins(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.ndarray:
+    """Packed coins of arcs with probabilities *probs* in *size* worlds."""
+    return pack_world_bits(
+        rng.random((probs.size, size), dtype=np.float32) < probs[:, None]
+    )
+
+
 def draw_coins(
     rng: np.random.Generator, plan: ReachPlan, size: int
 ) -> np.ndarray:
@@ -216,10 +243,7 @@ def draw_coins(
     probability and bit-packed: ``uint8[plan.num_arcs,
     packed_columns(size)]``.
     """
-    return pack_world_bits(
-        rng.random((plan.num_arcs, size), dtype=np.float32)
-        < plan.probs_f32[:, None]
-    )
+    return _coins(rng, plan.probs_f32, size)
 
 
 def _chunk_size(plan: ReachPlan, num_worlds: int) -> int:
@@ -228,72 +252,110 @@ def _chunk_size(plan: ReachPlan, num_worlds: int) -> int:
     return max(_MIN_CHUNK, min(_MAX_CHUNK, chunk, num_worlds))
 
 
+class _FixedCoins:
+    """One chunk's fixed coins: a packed row per :class:`Strata` arc,
+    and each plan arc's row index (``-1``: not fixed)."""
+
+    __slots__ = ("rows", "slot")
+
+    def __init__(self, plan: ReachPlan, strata: Strata, segment_of_world):
+        present = np.asarray(strata.present, dtype=bool)[segment_of_world]
+        self.rows = pack_world_bits(np.ascontiguousarray(present.T)).view(
+            np.uint64
+        )
+        self.slot = np.full(plan.num_arcs, -1, dtype=np.int64)
+        self.slot[np.asarray(strata.arcs, dtype=np.int64)] = np.arange(
+            len(strata.arcs)
+        )
+
+    def apply(self, coins: np.ndarray, arcs=slice(None)) -> None:
+        """Overwrite the fixed arcs' rows of *coins*, whose rows are
+        the plan arcs *arcs* (default: every arc, in plan order)."""
+        slots = self.slot[arcs]
+        fixed = slots >= 0
+        coins[fixed] = self.rows[slots[fixed]]
+
+
 def _simulate_chunk(
     plan: ReachPlan,
     source_idx: np.ndarray,
     num_worlds: int,
     rng: np.random.Generator,
     max_hops: Optional[int],
-) -> np.ndarray:
-    """Advance *num_worlds* worlds to fixpoint; returns the reached
-    bits as ``uint8[n_local, num_worlds]``.
+    fixed: Optional[_FixedCoins],
+) -> Tuple[np.ndarray, int]:
+    """Advance *num_worlds* worlds to fixpoint.
 
-    Word column ``b`` of node row ``v`` holds worlds ``64b .. 64b+63``,
-    so every bitwise op below advances sixty-four worlds at once.
-    Trailing pad bits are phantom worlds whose coins pack to 0
-    (:func:`pack_world_bits` zero-pads), so nothing propagates in them
-    and they are sliced off at the end.
+    Returns the packed reached bits, ``uint8[n_local,
+    packed_columns(num_worlds)]``, and the number of (arc, world)
+    coins drawn.  Word column ``b`` of node row ``v`` holds worlds
+    ``64b .. 64b+63``, so every bitwise op below advances sixty-four
+    worlds at once.  Sources' rows are all ones, pad bits included;
+    every coin packs to 0 in the pad worlds, so nothing propagates in
+    them, and the caller unpacks real worlds only.
     """
     visited = np.zeros(
         (plan.num_nodes, packed_columns(num_worlds)), dtype=np.uint8
     )
     if source_idx.size:
         visited[source_idx] = 0xFF
+    drawn = 0
+    if not source_idx.size or not plan.num_arcs or max_hops == 0:
+        return visited, drawn
     # The word view shares `visited`'s bytes: writes through it land in
-    # the uint8 array the final unpack reads.
+    # the uint8 array the caller unpacks.
     visited_w = visited.view(np.uint64)
-    if source_idx.size and plan.num_arcs and (
-        max_hops is None or max_hops > 0
-    ):
-        # One Bernoulli coin per (arc, world), in the plan's arc order
-        # (grouped by target) so the reduceat below needs no
-        # permutation.
-        coins = draw_coins(rng, plan, num_worlds).view(np.uint64)
-        frontier = visited_w.copy()
-        new = np.empty_like(frontier)
-        depth = 0
-        while max_hops is None or depth < max_hops:
-            # Only arcs whose tail has a live frontier bit in *some*
-            # world can propagate; when few do (small reached sets —
-            # the subcritical regime), scatter just those rows instead
-            # of gathering every arc.  OR accumulation is
-            # order-independent, so both paths produce identical bits.
-            live = frontier.any(axis=1)
-            active = np.nonzero(live[plan.predecessors])[0]
-            if active.size == 0:
-                break
-            # NOTE: ``frontier`` aliases ``new`` after the first
-            # iteration, so the candidate gather (a fancy-index copy)
-            # must happen before ``new`` is zeroed.
-            if active.size * 8 < plan.num_arcs:
-                candidate = frontier[plan.predecessors[active]]
-                candidate &= coins[active]
-                new[:] = 0
-                np.bitwise_or.at(new, plan.targets[active], candidate)
-            else:
-                candidate = frontier[plan.predecessors]
-                candidate &= coins
-                new[:] = 0
-                new[plan.has_in] = np.bitwise_or.reduceat(
-                    candidate, plan.segment_starts, axis=0
-                )
-            new &= ~visited_w
-            if not new.any():
-                break
-            visited_w |= new
-            frontier = new
-            depth += 1
-    return np.unpackbits(visited, axis=1, count=num_worlds)
+    frontier = visited_w.copy()
+    new = np.empty_like(frontier)
+    table = None
+    depth = 0
+    while max_hops is None or depth < max_hops:
+        # Only arcs whose tail has a live frontier bit in *some* world
+        # can propagate.  When few do (small reached sets — the
+        # subcritical regime), those arcs get fresh coins and their
+        # rows are scattered; otherwise every arc's row is gathered
+        # against the full table.  Either way each (arc, world) coin
+        # is read at most once: a tail is in a world's frontier on one
+        # level only.
+        live = frontier.any(axis=1)
+        active = np.nonzero(live[plan.predecessors])[0]
+        if active.size == 0:
+            break
+        # NOTE: ``frontier`` aliases ``new`` after the first
+        # iteration, so the candidate gather (a fancy-index copy)
+        # must happen before ``new`` is zeroed.
+        if active.size * 8 < plan.num_arcs:
+            coins = _coins(rng, plan.probs_f32[active], num_worlds).view(
+                np.uint64
+            )
+            drawn += active.size * num_worlds
+            if fixed is not None:
+                fixed.apply(coins, active)
+            candidate = frontier[plan.predecessors[active]]
+            candidate &= coins
+            new[:] = 0
+            np.bitwise_or.at(new, plan.targets[active], candidate)
+        else:
+            if table is None:
+                # Arcs in the plan's order (grouped by target), so the
+                # reduceat below needs no permutation.
+                table = draw_coins(rng, plan, num_worlds).view(np.uint64)
+                drawn += plan.num_arcs * num_worlds
+                if fixed is not None:
+                    fixed.apply(table)
+            candidate = frontier[plan.predecessors]
+            candidate &= table
+            new[:] = 0
+            new[plan.has_in] = np.bitwise_or.reduceat(
+                candidate, plan.segment_starts, axis=0
+            )
+        new &= ~visited_w
+        if not new.any():
+            break
+        visited_w |= new
+        frontier = new
+        depth += 1
+    return visited, drawn
 
 
 def sample_reach_batch(
@@ -303,6 +365,7 @@ def sample_reach_batch(
     rng: np.random.Generator,
     allowed: Optional[Iterable[int]] = None,
     max_hops: Optional[int] = None,
+    strata: Optional[Strata] = None,
 ) -> BatchReachResult:
     """Sample *num_worlds* possible worlds of the candidate subgraph.
 
@@ -327,6 +390,10 @@ def sample_reach_batch(
         Optional hop budget (distance-constrained reachability): level
         ``d`` of the frontier is the set first reached after ``d`` hops,
         so capping the levels is exact.
+    strata:
+        Optional :class:`Strata` over the plan's arcs; its sizes must
+        be positive and add up to *num_worlds*.  The result's
+        ``stratum_counts`` then has one row per segment.
     """
     if num_worlds <= 0:
         raise ValueError(f"num_worlds must be positive, got {num_worlds}")
@@ -335,6 +402,16 @@ def sample_reach_batch(
     else:
         csr = graph if isinstance(graph, CSRGraph) else csr_snapshot(graph)
         plan = ReachPlan(csr, allowed)
+    sizes = np.array(
+        [num_worlds] if strata is None else strata.sizes, dtype=np.int64
+    )
+    if sizes.sum() != num_worlds or (sizes < 1).any():
+        raise ValueError(
+            f"strata sizes {sizes.tolist()} do not split {num_worlds} "
+            "worlds into non-empty segments"
+        )
+    starts = np.cumsum(sizes) - sizes
+    segment_of_world = np.repeat(np.arange(sizes.size), sizes)
 
     from ..service.metrics import get_registry
 
@@ -343,7 +420,7 @@ def sample_reach_batch(
     registry.counter("accel.kernel_worlds").inc(num_worlds)
 
     source_idx = plan.local_ids(sources)
-    counts = np.zeros(plan.num_nodes, dtype=np.int64)
+    stratum_counts = np.zeros((sizes.size, plan.num_nodes), dtype=np.int64)
     world_sizes = np.empty(num_worlds, dtype=np.int64)
     chunk = _chunk_size(plan, num_worlds)
     done = 0
@@ -351,8 +428,24 @@ def sample_reach_batch(
         fault_point("mc.kernel.chunk")
         registry.counter("accel.kernel_chunks").inc()
         size = min(chunk, num_worlds - done)
-        bits = _simulate_chunk(plan, source_idx, size, rng, max_hops)
-        counts += bits.sum(axis=1, dtype=np.int64)
-        world_sizes[done:done + size] = bits.sum(axis=0, dtype=np.int64)
-        done += size
-    return BatchReachResult(plan.nodes, counts, world_sizes)
+        end = done + size
+        fixed = None
+        if strata is not None and len(strata.arcs):
+            fixed = _FixedCoins(plan, strata, segment_of_world[done:end])
+        visited, drawn = _simulate_chunk(
+            plan, source_idx, size, rng, max_hops, fixed
+        )
+        registry.counter("accel.kernel_coins").inc(drawn)
+        # Only rows with a reached bit can count; unpack those, real
+        # worlds only (the pad worlds' bits are sliced off).
+        rows = np.nonzero(visited.view(np.uint64).any(axis=1))[0]
+        bits = np.unpackbits(visited[rows], axis=1, count=size)
+        world_sizes[done:end] = bits.sum(axis=0, dtype=np.int64)
+        # The segments this chunk overlaps, from their first world in it.
+        first, last = segment_of_world[done], segment_of_world[end - 1] + 1
+        stratum_counts[first:last, rows] += np.add.reduceat(
+            bits, np.maximum(starts[first:last], done) - done, axis=1,
+            dtype=np.int64,
+        ).T
+        done = end
+    return BatchReachResult(plan.nodes, stratum_counts, world_sizes)

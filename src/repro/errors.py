@@ -214,7 +214,8 @@ class SamplingKernelError(ReproError, RuntimeError):
     """The world-sampling kernel failed mid-run.
 
     Raised by :meth:`repro.graph.sampling.ReachabilityFrequencyEstimator.run`
-    around any failure of the CSR snapshot or the batched kernel (a
+    (and by its ``plan``, which ``run`` reads) around any failure of
+    the CSR snapshot or the batched kernel (a
     defect, exhausted memory, or a fault injected at
     ``"csr.snapshot"`` / ``"mc.kernel.chunk"``).  The
     query engines never let it escape a query: the answer degrades to

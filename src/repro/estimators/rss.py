@@ -5,37 +5,42 @@ by "An In-Depth Comparison of s-t Reliability Algorithms over Uncertain
 Graphs", PAPERS.md): pick the ``r`` highest-variance arcs of the
 candidate subgraph as *pivots*, partition the possible-world space into
 the ``2^r`` strata fixing each pivot present/absent, and sample each
-stratum *conditionally* — pivot arcs forced present get ``p = 1``,
-forced absent get ``p = 0`` — with the world budget allocated
+stratum *conditionally*, with the world budget allocated
 proportionally to the stratum weights ``w_s = prod(p_i or 1-p_i)``.
-Every stratum runs on the one batched kernel: the candidate subgraph
-is extracted once (:class:`~repro.accel.ReachPlan`) and each stratum
-samples a copy of it with its pivot states forced, so no query builds
-a subgraph or a CSR snapshot.
+All strata run in one pass of the batched kernel: they are consecutive
+world segments of one :meth:`ReachabilityFrequencyEstimator.run
+<repro.graph.sampling.ReachabilityFrequencyEstimator.run>` call
+(:class:`~repro.accel.Strata`), in which a pivot's coin is 1 where
+the segment's stratum has it present and 0 where absent, and the
+kernel keeps each segment's hit counts.  No query builds a subgraph,
+a CSR snapshot or a second plan.
 
-The combined estimator ``R(t) = sum_s w_s * freq_s(t)`` is unbiased
-(law of total probability) and has strictly lower variance than crude
-MC whenever the pivots carry real variance: within each stratum the
-pivot coins no longer contribute any.
+The combined estimator ``R(t) = sum_s w_s * count_s(t) / q_s`` (``q_s``
+worlds in stratum ``s``) is unbiased (law of total probability) and
+has strictly lower variance than crude MC whenever the pivots carry
+real variance: within each stratum the pivot coins no longer
+contribute any.
 
-Per-stratum streams are seeded through :func:`repro.seeding.derive_seed`
-(``derive_seed(seed, "estimators.rss", stratum_index)``) so the whole
-estimate is deterministic per seed, independent of stratum execution
-order.
+The pass draws from one stream, ``derive_seed(seed, "estimators.rss")``,
+so the whole estimate is deterministic per seed.  The deadline is
+checked once, before the pass.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+from typing import Dict, List
 
+import numpy as np
+
+from ..accel import Strata
 from ..core.verification import (
     _ETA_SLACK,
     VerificationReport,
     _check,
     _verification_subset,
 )
-from ..graph.sampling import ReachabilityFrequencyEstimator, reach_plan
+from ..graph.sampling import ReachabilityFrequencyEstimator
 from ..resilience.budget import CONFIRMED, REJECTED, UNVERIFIED
 from ..seeding import derive_seed
 from .base import EstimateRequest, Estimator, expired_report
@@ -73,10 +78,9 @@ class RecursiveStratifiedEstimator(Estimator):
 
     def cost(self, stats: SubgraphStats, request: EstimateRequest) -> float:
         strata = 2 ** min(request.config.rss_pivots, 8)
-        # The same worlds as plain MC, split over the strata: each
-        # stratum pays its own kernel call on a copy of the plan, and
-        # smaller world chunks amortize the per-level work less (fitted
-        # alongside the MC constants).
+        # The same worlds as plain MC, split over the strata.  Fitted
+        # alongside the MC constants when each stratum paid its own
+        # kernel call; kept as they are so the planner's choices stay.
         return predicted_sampling_seconds(stats, request) * 1.4 + (
             strata * 1.9e-4
         )
@@ -103,7 +107,18 @@ class RecursiveStratifiedEstimator(Estimator):
         present_sources = sorted(source_set & subset)
         cutoff = request.eta * (1.0 - _ETA_SLACK)
 
-        plan = reach_plan(request.graph, subset)
+        estimator = ReachabilityFrequencyEstimator(
+            request.graph,
+            present_sources,
+            seed=(
+                None
+                if request.seed is None
+                else derive_seed(request.seed, "estimators.rss")
+            ),
+            allowed=subset,
+            max_hops=request.max_hops,
+        )
+        plan = estimator.plan
         probs = plan.probs_f32.astype(float).tolist()
         heads = plan.nodes[plan.targets].tolist()
         tails = plan.nodes[plan.predecessors].tolist()
@@ -127,62 +142,42 @@ class RecursiveStratifiedEstimator(Estimator):
             for arc, present in zip(pivots, assignment):
                 w *= probs[arc] if present else (1.0 - probs[arc])
             weights.append(w)
-        allocation = _allocate(worlds, weights)
-
-        totals: Dict[int, float] = {}
-        processed_weight = 0.0
-        worlds_used = 0
-        degraded_reason: Optional[str] = None
-        for index, (assignment, weight, quota) in enumerate(
-            zip(assignments, weights, allocation)
-        ):
-            if quota <= 0:
-                continue
-            if index > 0 and clock is not None and clock.expired():
-                degraded_reason = (
-                    "deadline expired during stratified sampling "
-                    f"({index}/{len(assignments)} strata)"
-                )
-                break
-            child_seed = (
-                None
-                if request.seed is None
-                else derive_seed(request.seed, "estimators.rss", index)
+        strata = [
+            (assignment, weight, quota)
+            for assignment, weight, quota in zip(
+                assignments, weights, _allocate(worlds, weights)
             )
-            estimator = ReachabilityFrequencyEstimator(
-                request.graph,
-                present_sources,
-                seed=child_seed,
-                max_hops=request.max_hops,
-                plan=plan.with_forced_arcs(pivots, assignment),
-            )
-            estimator.run(quota)
-            worlds_used += quota
-            for node, count in estimator.counts().items():
-                totals[node] = totals.get(node, 0.0) + weight * count / quota
-            processed_weight += weight
-
-        estimates: Dict[int, float] = {}
-        if processed_weight > 0.0:
-            for node, value in totals.items():
-                estimates[node] = value / processed_weight
+            if quota > 0
+        ]
+        worlds_used = sum(quota for _, _, quota in strata)
+        estimator.run(
+            worlds_used,
+            Strata(
+                arcs=pivots,
+                present=[assignment for assignment, _, _ in strata],
+                sizes=[quota for _, _, quota in strata],
+            ),
+        )
+        scale = np.array([weight / quota for _, weight, quota in strata])
+        values = scale @ estimator.stratum_counts() / sum(
+            weight for _, weight, _ in strata
+        )
+        estimates: Dict[int, float] = {
+            node: value
+            for node, value in zip(plan.nodes.tolist(), values.tolist())
+            if value > 0.0
+        }
         for node in subset:
-            if processed_weight <= 0.0:
-                statuses[node] = (
-                    CONFIRMED if node in source_set else UNVERIFIED
-                )
-            else:
-                statuses[node] = (
-                    CONFIRMED
-                    if estimates.get(node, 0.0) >= cutoff
-                    else REJECTED
-                )
+            statuses[node] = (
+                CONFIRMED if estimates.get(node, 0.0) >= cutoff else REJECTED
+            )
         for node in present_sources:
             statuses[node] = CONFIRMED
-        if dropped and degraded_reason is None:
-            degraded_reason = (
-                "candidate-subgraph cap left candidates unverified"
-            )
+        degraded_reason = (
+            "candidate-subgraph cap left candidates unverified"
+            if dropped
+            else None
+        )
         report = VerificationReport(
             kept={n for n, s in statuses.items() if s == CONFIRMED},
             statuses=statuses,

@@ -16,25 +16,11 @@ from typing import Dict, Iterable, Optional, Sequence, Set
 
 import numpy as np
 
-from ..accel import ReachPlan, csr_snapshot, sample_reach_batch
+from ..accel import ReachPlan, Strata, csr_snapshot, sample_reach_batch
 from ..errors import SamplingKernelError
 from .uncertain import UncertainGraph
 
-__all__ = ["ReachabilityFrequencyEstimator", "reach_plan"]
-
-
-def reach_plan(
-    graph: UncertainGraph, allowed: Optional[Iterable[int]] = None
-) -> ReachPlan:
-    """The kernel's plan for *graph* restricted to *allowed*.
-
-    Raises :class:`~repro.errors.SamplingKernelError` when the CSR
-    snapshot cannot be taken, like every other kernel failure.
-    """
-    try:
-        return ReachPlan(csr_snapshot(graph), allowed)
-    except Exception as error:
-        raise SamplingKernelError(error) from error
+__all__ = ["ReachabilityFrequencyEstimator"]
 
 
 class ReachabilityFrequencyEstimator:
@@ -55,14 +41,11 @@ class ReachabilityFrequencyEstimator:
     max_hops:
         Optional hop budget (distance-constrained reachability, Jin et
         al. [20]).
-    plan:
-        A prebuilt :class:`~repro.accel.ReachPlan` to sample instead of
-        the *allowed* subgraph (recursive stratified sampling passes
-        one stratum's plan per estimator).
 
-    The plan is extracted on the first :meth:`run` and reused by every
-    later one, so chunked callers pay for it once.  Any failure of the
-    kernel raises :class:`~repro.errors.SamplingKernelError`; the
+    The plan (:attr:`plan`) is extracted on first use and reused by
+    every later :meth:`run`, so chunked callers pay for it once.  Any
+    failure of the kernel, or of the CSR snapshot the plan is cut
+    from, raises :class:`~repro.errors.SamplingKernelError`; the
     estimator's tallies are then left as they were before the call.
     """
 
@@ -73,13 +56,12 @@ class ReachabilityFrequencyEstimator:
         seed: Optional[int] = None,
         allowed: Optional[Iterable[int]] = None,
         max_hops: Optional[int] = None,
-        plan: Optional[ReachPlan] = None,
     ) -> None:
         self._graph = graph
         self._sources = list(sources)
         self._allowed = allowed
         self._max_hops = max_hops
-        self._plan = plan
+        self._plan: Optional[ReachPlan] = None
         self._rng = np.random.default_rng(seed)
         self._counts: Optional[np.ndarray] = None
         self._num_worlds = 0
@@ -88,6 +70,18 @@ class ReachabilityFrequencyEstimator:
     def backend(self) -> str:
         """The sampler behind :meth:`run`; there is exactly one."""
         return "numpy"
+
+    @property
+    def plan(self) -> ReachPlan:
+        """The kernel's plan for the *allowed* subgraph."""
+        if self._plan is None:
+            try:
+                self._plan = ReachPlan(
+                    csr_snapshot(self._graph), self._allowed
+                )
+            except Exception as error:
+                raise SamplingKernelError(error) from error
+        return self._plan
 
     @property
     def num_worlds(self) -> int:
@@ -99,29 +93,42 @@ class ReachabilityFrequencyEstimator:
         least once)."""
         if self._counts is None:
             return {}
-        hit = self._counts.nonzero()[0]
-        return dict(
-            zip(self._plan.nodes[hit].tolist(), self._counts[hit].tolist())
-        )
+        totals = self._counts.sum(axis=0)
+        hit = totals.nonzero()[0]
+        return dict(zip(self._plan.nodes[hit].tolist(), totals[hit].tolist()))
 
-    def run(self, num_worlds: int) -> "ReachabilityFrequencyEstimator":
-        """Sample *num_worlds* additional worlds, accumulating counts."""
-        if self._plan is None:
-            self._plan = reach_plan(self._graph, self._allowed)
+    def stratum_counts(self) -> np.ndarray:
+        """``int64[segments, n_local]``: hits per :class:`Strata`
+        segment (rows; one row for runs without strata) and plan node
+        (columns, :attr:`plan` order), summed over the runs so far."""
+        return self._counts.copy()
+
+    def run(
+        self, num_worlds: int, strata: Optional[Strata] = None
+    ) -> "ReachabilityFrequencyEstimator":
+        """Sample *num_worlds* additional worlds, accumulating counts.
+
+        *strata* (over :attr:`plan`'s arcs, sizes adding up to
+        *num_worlds*) splits the worlds into segments with fixed
+        coins on its arcs and keeps the counts per segment
+        (:meth:`stratum_counts`).
+        """
+        plan = self.plan
         try:
             batch = sample_reach_batch(
-                self._plan,
+                plan,
                 self._sources,
                 num_worlds,
                 self._rng,
                 max_hops=self._max_hops,
+                strata=strata,
             )
         except Exception as error:
             raise SamplingKernelError(error) from error
         if self._counts is None:
-            self._counts = batch.counts
+            self._counts = batch.stratum_counts
         else:
-            self._counts += batch.counts
+            self._counts += batch.stratum_counts
         self._num_worlds += num_worlds
         return self
 

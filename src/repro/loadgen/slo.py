@@ -41,8 +41,8 @@ __all__ = ["SLOTargets", "SLOTracker", "REPORT_SCHEMA_VERSION"]
 REPORT_SCHEMA_VERSION = 2
 
 #: Per-query counts inside a degraded reason — budget progress such as
-#: ``(256/1000 worlds)`` or ``(3/8 strata)``, and a fault's
-#: ``(hit #N)`` — stripped from ``degraded.by_reason`` keys.
+#: ``(256/1000 worlds)``, and a fault's ``(hit #N)`` — stripped from
+#: ``degraded.by_reason`` keys.
 _PER_QUERY_COUNTS = re.compile(r"\s*\((?:hit #\d+|\d+/\d+ [a-z]+)\)")
 
 

@@ -387,3 +387,58 @@ def test_csr_snapshot_hammer_under_epoch_advancement():
     stop.set()
     mut.join(timeout=10)
     assert not failures, failures[:3]
+
+
+# ----------------------------------------------------------------------
+# Coins drawn: only what the BFS reaches
+# ----------------------------------------------------------------------
+@pytest.fixture
+def fresh_registry():
+    from repro.service.metrics import MetricsRegistry, set_registry
+
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        yield registry
+    finally:
+        set_registry(previous)
+
+
+def _coins_drawn(registry, graph, sources, num_worlds):
+    before = registry.counter("accel.kernel_coins").value
+    sample_reach_batch(graph, sources, num_worlds, np.random.default_rng(4))
+    return registry.counter("accel.kernel_coins").value - before
+
+
+def test_source_without_out_arcs_draws_no_coins(fresh_registry):
+    graph = uncertain_gnp(40, 0.2, seed=6)
+    lonely = graph.add_node()
+    assert _coins_drawn(fresh_registry, graph, [lonely], 1000) == 0
+
+
+def test_all_dense_levels_draw_one_table_per_chunk(fresh_registry):
+    # Every level of a path has 1 active arc of 2 (dense): each chunk
+    # draws the full table once, num_arcs x num_worlds over the run,
+    # which is what drawing every coin up front costs.
+    graph = UncertainGraph(3)
+    graph.add_arc(0, 1, 0.7)
+    graph.add_arc(1, 2, 0.6)
+    num_worlds = 2 * mc_kernel._MAX_CHUNK + 100
+    assert _coins_drawn(fresh_registry, graph, [0], num_worlds) == (
+        graph.num_arcs * num_worlds
+    )
+
+
+def test_chain_among_unreachable_arcs_draws_its_own_rows(fresh_registry):
+    # Three sparse levels of one certain arc each; the 100 arcs the
+    # source cannot reach never get a coin.
+    graph = UncertainGraph(104)
+    graph.add_arc(0, 1, 1.0)
+    graph.add_arc(1, 2, 1.0)
+    graph.add_arc(2, 3, 1.0)
+    for i in range(100):
+        graph.add_arc(4 + i % 50, 4 + (i % 50 + 1 + i // 50) % 100, 0.5)
+    assert graph.num_arcs == 103
+    drawn = _coins_drawn(fresh_registry, graph, [0], 1000)
+    assert drawn == 3 * 1000
+    assert drawn * 30 < graph.num_arcs * 1000

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import UncertainGraph
@@ -268,3 +269,142 @@ def test_expected_spread(fig1_graph):
         for t in range(1, fig1_graph.num_nodes)
     )
     assert abs(spread - exact) < 0.15
+
+
+# ----------------------------------------------------------------------
+# Per-level coins: sparse and dense levels in one run
+# ----------------------------------------------------------------------
+def _chain_into_core():
+    """Source 30 -> 31 -> 32 -> a 4-node complete core {33..36},
+    beside 24 arcs among nodes 0..11 the source cannot reach.
+
+    The BFS's first three levels have 1, 1 and 4 active arcs of 42
+    (sparse: fresh coins for those rows), the core's levels 12 (dense:
+    the full table).  The unreachable arcs come first in plan order and
+    carry p = 0.05, so coins drawn against the wrong arcs' rows change
+    the chain's reliabilities."""
+    graph = UncertainGraph(37)
+    for i in range(24):
+        graph.add_arc(i % 12, (i % 12 + 1 + i // 12) % 12, 0.05)
+    graph.add_arc(30, 31, 0.9)
+    graph.add_arc(31, 32, 0.8)
+    core = range(33, 37)
+    for i, v in enumerate(core):
+        graph.add_arc(32, v, 0.3 + 0.1 * i)
+    for u in core:
+        for v in core:
+            if u != v:
+                graph.add_arc(u, v, 0.25 + 0.05 * ((u + 2 * v) % 5))
+    reachable = graph.subgraph(set(range(30, 37))).materialize()
+    return graph, reachable
+
+
+def test_sparse_and_dense_levels_match_exact_oracle(monkeypatch):
+    from repro.accel import mc_kernel
+
+    graph, (reachable, relabel) = _chain_into_core()
+    drawn_rows = []
+    coins = mc_kernel._coins
+
+    def spy(rng, probs, size):
+        drawn_rows.append(probs.size)
+        return coins(rng, probs, size)
+
+    monkeypatch.setattr(mc_kernel, "_coins", spy)
+    batch = sample_reach_batch(
+        graph, [30], K_EXACT, np.random.default_rng(5)
+    )
+    num_arcs = graph.num_arcs
+    # Both branches ran: row subsets (sparse) and the full table (dense).
+    assert any(rows * 8 < num_arcs for rows in drawn_rows)
+    assert num_arcs in drawn_rows
+    for node, count in zip(batch.nodes.tolist(), batch.counts.tolist()):
+        if node not in relabel:
+            assert count == 0
+            continue
+        exact = exact_reliability(reachable, [relabel[30]], relabel[node])
+        estimate = count / K_EXACT
+        assert abs(estimate - exact) < binomial_bound(exact, K_EXACT), (
+            node, estimate, exact
+        )
+
+
+@pytest.mark.parametrize("num_worlds", [1, 63, 1000, 4096 + 13])
+def test_source_counts_equal_num_worlds(num_worlds):
+    # Pad worlds (bits past num_worlds in the last uint64 word) start
+    # with the sources' bits set; they must never be counted.
+    graph = uncertain_gnp(30, 0.1, seed=4)
+    batch = sample_reach_batch(
+        graph, [0, 7, 19], num_worlds, np.random.default_rng(3)
+    )
+    assert batch.counts[[0, 7, 19]].tolist() == [num_worlds] * 3
+    assert batch.world_sizes.shape == (num_worlds,)
+    assert (batch.world_sizes >= 3).all()
+    assert (batch.counts <= num_worlds).all()
+
+
+# ----------------------------------------------------------------------
+# Recursive stratified sampling: one pass, strata as world segments
+# ----------------------------------------------------------------------
+def _bridge_graph(fan, unreachable):
+    """Bridge 0 -> 1 (p = 0.5, the highest-variance arc) into the
+    chain 1 -> 2 -> 3; *fan* more certain-ish out-arcs of the source
+    and *unreachable* arcs elsewhere set whether the source's level is
+    dense (fan 3, nothing else) or sparse (fan 0, 24 arcs elsewhere)."""
+    graph = UncertainGraph(60)
+    graph.add_arc(0, 1, 0.5)
+    graph.add_arc(1, 2, 0.9)
+    graph.add_arc(2, 3, 0.85)
+    for i in range(fan):
+        graph.add_arc(0, 10 + i, 0.95)
+    for i in range(unreachable):
+        graph.add_arc(20 + i, 21 + i, 0.95)
+    return graph
+
+
+@pytest.mark.parametrize("fan, unreachable", [(3, 0), (0, 24)])
+def test_forced_absent_bridge_reaches_nothing_past_it(fan, unreachable):
+    from repro.accel import Strata
+
+    graph = _bridge_graph(fan, unreachable)
+    estimator = ReachabilityFrequencyEstimator(graph, [0], seed=8)
+    plan = estimator.plan
+    bridge = int(np.flatnonzero(
+        (plan.nodes[plan.predecessors] == 0) & (plan.nodes[plan.targets] == 1)
+    )[0])
+    present, absent = 6000, 4000
+    estimator.run(present + absent, Strata(
+        arcs=[bridge], present=[(True,), (False,)], sizes=[present, absent],
+    ))
+    counts = estimator.stratum_counts()
+    column = {int(node): i for i, node in enumerate(plan.nodes)}
+    # Forced absent: nothing past the bridge, however many worlds.
+    assert [counts[1, column[v]] for v in (1, 2, 3)] == [0, 0, 0]
+    assert counts[1, column[0]] == absent
+    # Forced present: the chain beyond it at its conditional reliability.
+    assert counts[0, column[1]] == present
+    for node, exact in ((2, 0.9), (3, 0.9 * 0.85)):
+        estimate = counts[0, column[node]] / present
+        assert abs(estimate - exact) < binomial_bound(exact, present)
+    assert estimator.counts()[0] == present + absent
+
+
+@pytest.mark.parametrize("fan, unreachable", [(3, 0), (0, 24)])
+def test_rss_matches_exact_with_bridge_pivot(fan, unreachable):
+    from repro.estimators import get_estimator
+    from repro.estimators.base import EstimateRequest
+
+    graph = _bridge_graph(fan, unreachable)
+    candidates = set(range(graph.num_nodes))
+    report = get_estimator("rss").estimate(EstimateRequest(
+        graph=graph, sources=[0], eta=0.3, candidates=candidates,
+        num_samples=K_EXACT, seed=11,
+    ))
+    assert report.worlds_used == K_EXACT
+    assert not report.degraded
+    for node in range(graph.num_nodes):
+        exact = exact_reliability(graph, [0], node)
+        estimate = report.estimates.get(node, 0.0)
+        assert abs(estimate - exact) < binomial_bound(exact, K_EXACT), (
+            node, estimate, exact
+        )
