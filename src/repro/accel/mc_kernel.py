@@ -20,12 +20,18 @@ by packing them into the bits of ``uint64`` words:
   already-visited targets;
 * coins follow the frontier, as the paper's lazy flipping does: a
   level on which few arcs have a live tail (fewer than one in eight)
-  draws coins for those arcs only, one float32 uniform per (arc,
-  world), compared against the arc's probability and bit-packed; a
-  level on which many do reads one full coin table
-  (:func:`draw_coins`) over every arc of the plan, drawn the first
-  time such a level occurs in a chunk and reused by the chunk's later
-  ones.
+  draws coins for those arcs only; a level on which many do reads one
+  full coin table (:func:`draw_coins`) over every arc of the plan,
+  drawn the first time such a level occurs in a chunk and reused by
+  the chunk's later ones;
+* a coin is one uint32 draw ``v`` taken from the generator's raw
+  64-bit words (low half first), heads when ``v <= coin_max`` for the
+  arc's threshold ``coin_max = ceil(p * 2^24) * 256 - 1``.  numpy's
+  float32 uniform is ``(v >> 8) * 2^-24`` of the same draw, so the coin
+  is exactly ``uniform < p``, bit for bit, at half the generator calls;
+  the generator must therefore emit 64-bit words (PCG64, the
+  ``default_rng`` generator, does);
+* a node's hit count is the popcount of its reached-bit row.
 
 Memory and time therefore follow the candidate set and the part of it
 the BFS reaches: a 16-node candidate set on a 20,000-node graph never
@@ -43,10 +49,10 @@ read bias nothing, being independent of the reached set.
 
 Worlds are processed in chunks sized to bound peak memory (a full coin
 table dominates), so ``K`` can be arbitrarily large; per-node hit
-counts and per-world reached-set sizes are accumulated across chunks.
-:class:`Strata` splits a run's worlds into consecutive segments that
-fix chosen arcs' coins (recursive stratified sampling's strata), with
-hit counts kept per segment.
+counts are accumulated across chunks.  :class:`Strata` splits a run's
+worlds into consecutive segments that fix chosen arcs' coins
+(recursive stratified sampling's strata), with hit counts kept per
+segment (the popcount of each row under the segment's word mask).
 """
 
 from __future__ import annotations
@@ -65,11 +71,17 @@ __all__ = [
 ]
 
 #: Upper bound on (worlds per chunk) x arcs: a full coin table's
-#: float32 uniform draw is ``4 * m_local * W`` bytes, so 16M slots caps
-#: the transient at 64 MB (the packed state arrays are 32x smaller).
+#: uint32 draws are ``4 * m_local * W`` bytes, so 16M slots caps the
+#: transient at 64 MB (the packed state arrays are 32x smaller).
 _TARGET_SLOTS = 16_000_000
 #: Hard bounds on the world-chunk size.
 _MIN_CHUNK, _MAX_CHUNK = 8, 4096
+#: numpy's bit generators whose raw output is 64-bit words, each
+#: handed out by ``Generator`` as its low 32 bits and then its high
+#: 32 bits (MT19937's raw output is 32-bit words).
+_WORD_GENERATORS = (
+    np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+)
 
 
 class ReachPlan:
@@ -83,14 +95,20 @@ class ReachPlan:
     ``predecessors`` / ``targets``
         Local tail and head of each kept arc, grouped by head.
     ``probs_f32``
-        Arc existence probabilities, in the same order.  float32: ~2x
-        cheaper uniforms, and the 2^-24 rounding of a probability is
-        far below any Monte-Carlo resolution.
+        Arc existence probabilities, in the same order.  float32: the
+        2^-24 rounding of a probability is far below any Monte-Carlo
+        resolution.  An arc whose probability rounds to 0 exists in no
+        world and is left out of the plan.
+    ``coin_max``
+        Each arc's coin threshold, ``ceil(p * 2^24) * 256 - 1`` as
+        uint32: a uint32 draw ``v`` is heads when ``v <= coin_max``,
+        which is the float32 uniform ``(v >> 8) * 2^-24`` falling
+        below ``p``.
     """
 
     __slots__ = (
         "nodes", "num_nodes", "num_arcs", "predecessors", "targets",
-        "probs_f32", "segment_starts", "has_in",
+        "probs_f32", "coin_max", "segment_starts", "has_in",
     )
 
     def __init__(
@@ -122,12 +140,24 @@ class ReachPlan:
             keep[keep] = nodes[local[keep]] == tails[keep]
             rows, targets, predecessors = rows[keep], targets[keep], local[keep]
             probs = csr.rev_probs_f32[rows]
+        if not probs.all():
+            # No uint32 draw lies at or below the threshold -1 that a
+            # probability of 0 would need.
+            kept = probs > 0
+            targets, predecessors, probs = (
+                targets[kept], predecessors[kept], probs[kept]
+            )
         self.nodes = nodes
         self.num_nodes = int(nodes.size)
         self.num_arcs = int(probs.size)
         self.targets = targets
         self.predecessors = predecessors
         self.probs_f32 = probs
+        # p * 2^24 is exact in float64; ceil(p * 2^24) is 1 .. 2^24.
+        self.coin_max = (
+            np.ceil(probs.astype(np.float64) * (1 << 24)).astype(np.int64)
+            * 256 - 1
+        ).astype(np.uint32)
         sub_in_degrees = np.bincount(targets, minlength=self.num_nodes)
         self.has_in = sub_in_degrees > 0
         # reduceat segment starts for nodes with at least one in-arc;
@@ -175,29 +205,24 @@ class BatchReachResult:
         segment, all worlds, for a run without strata).
     counts:
         ``int64[n_local]`` — in how many of the ``num_worlds`` worlds
-        each of ``nodes`` was reached from the source set.
-    world_sizes:
-        ``int64[num_worlds]`` — size of the reached set per world (the
-        quantity influence-spread estimation averages).
+        each of ``nodes`` was reached from the source set.  Its sum is
+        the total reached-set size over all worlds.
     num_worlds:
         Total number of worlds simulated.
     """
 
-    __slots__ = (
-        "nodes", "stratum_counts", "counts", "world_sizes", "num_worlds",
-    )
+    __slots__ = ("nodes", "stratum_counts", "counts", "num_worlds")
 
     def __init__(
         self,
         nodes: np.ndarray,
         stratum_counts: np.ndarray,
-        world_sizes: np.ndarray,
+        num_worlds: int,
     ) -> None:
         self.nodes = nodes
         self.stratum_counts = stratum_counts
         self.counts = stratum_counts.sum(axis=0)
-        self.world_sizes = world_sizes
-        self.num_worlds = int(world_sizes.shape[0])
+        self.num_worlds = num_worlds
 
 
 def packed_columns(num_worlds: int) -> int:
@@ -227,11 +252,48 @@ def pack_world_bits(raw: np.ndarray) -> np.ndarray:
     return padded
 
 
-def _coins(rng: np.random.Generator, probs: np.ndarray, size: int) -> np.ndarray:
-    """Packed coins of arcs with probabilities *probs* in *size* worlds."""
-    return pack_world_bits(
-        rng.random((probs.size, size), dtype=np.float32) < probs[:, None]
+def _word_source(rng: np.random.Generator) -> np.random.BitGenerator:
+    """*rng*'s bit generator, refused unless it emits 64-bit words.
+
+    Read as uint32 halves, a 32-bit generator's zero-extended raw
+    output would make every other coin heads.
+    """
+    bit_generator = getattr(rng, "bit_generator", rng)
+    if not isinstance(bit_generator, _WORD_GENERATORS):
+        raise TypeError(
+            "the sampling kernel draws its coins from 64-bit generator "
+            "words: pass a numpy Generator over PCG64 (default_rng), "
+            f"PCG64DXSM, Philox or SFC64, not {type(bit_generator).__name__}"
+        )
+    return bit_generator
+
+
+def _coins(
+    words: np.random.BitGenerator, coin_max: np.ndarray, size: int
+) -> np.ndarray:
+    """Packed coins of arcs with thresholds *coin_max* in *size* worlds.
+
+    Coin ``(i, w)`` is the stream's ``(i * size + w)``-th uint32 draw,
+    exactly the draw ``Generator.random(dtype=np.float32)`` would turn
+    into that coin's uniform, so the coins equal ``uniform < p`` bit
+    for bit whenever every call draws an even number of coins.  (An
+    odd count leaves the last word's high half unused, where the
+    float32 draw would keep it for its next call.)
+    """
+    count = coin_max.size * size
+    # The little-endian view puts each word's low half first on any host.
+    draws = (
+        words.random_raw((count + 1) // 2)
+        .astype("<u8", copy=False)
+        .view("<u4")[:count]
+        .reshape(coin_max.size, size)
     )
+    # Comparing into a buffer whose pad worlds' coins are 0 packs
+    # straight to the padded width.
+    heads = np.empty((coin_max.size, packed_columns(size) * 8), dtype=bool)
+    heads[:, size:] = False
+    np.less_equal(draws, coin_max[:, None], out=heads[:, :size])
+    return np.packbits(heads, axis=1)
 
 
 def draw_coins(
@@ -239,11 +301,13 @@ def draw_coins(
 ) -> np.ndarray:
     """One chunk of packed coins for *plan*'s arcs: ``size`` worlds.
 
-    One float32 uniform per (arc, world), compared against the arc's
-    probability and bit-packed: ``uint8[plan.num_arcs,
-    packed_columns(size)]``.
+    One uint32 draw per (arc, world), heads when at most the arc's
+    ``coin_max``, bit-packed: ``uint8[plan.num_arcs,
+    packed_columns(size)]``.  Bit for bit the float32 comparison
+    ``rng.random((num_arcs, size), dtype=np.float32) < probs_f32``;
+    *rng*'s bit generator must emit 64-bit words.
     """
-    return _coins(rng, plan.probs_f32, size)
+    return _coins(_word_source(rng), plan.coin_max, size)
 
 
 def _chunk_size(plan: ReachPlan, num_worlds: int) -> int:
@@ -280,7 +344,7 @@ def _simulate_chunk(
     plan: ReachPlan,
     source_idx: np.ndarray,
     num_worlds: int,
-    rng: np.random.Generator,
+    words: np.random.BitGenerator,
     max_hops: Optional[int],
     fixed: Optional[_FixedCoins],
 ) -> Tuple[np.ndarray, int]:
@@ -292,7 +356,7 @@ def _simulate_chunk(
     ``64b .. 64b+63``, so every bitwise op below advances sixty-four
     worlds at once.  Sources' rows are all ones, pad bits included;
     every coin packs to 0 in the pad worlds, so nothing propagates in
-    them, and the caller unpacks real worlds only.
+    them, and only the sources' rows carry pad bits.
     """
     visited = np.zeros(
         (plan.num_nodes, packed_columns(num_worlds)), dtype=np.uint8
@@ -302,11 +366,14 @@ def _simulate_chunk(
     drawn = 0
     if not source_idx.size or not plan.num_arcs or max_hops == 0:
         return visited, drawn
-    # The word view shares `visited`'s bytes: writes through it land in
-    # the uint8 array the caller unpacks.
-    visited_w = visited.view(np.uint64)
-    frontier = visited_w.copy()
-    new = np.empty_like(frontier)
+    # Word views: every bitwise op below works on uint64 words.
+    frontier = visited.view(np.uint64).copy()
+    unvisited = ~frontier
+    # Rows of nodes without in-arcs are never written, so they stay 0.
+    new = np.zeros_like(frontier)
+    # Nodes with a frontier bit in some world.
+    live = np.zeros(plan.num_nodes, dtype=bool)
+    live[source_idx] = True
     table = None
     depth = 0
     while max_hops is None or depth < max_hops:
@@ -317,15 +384,14 @@ def _simulate_chunk(
         # against the full table.  Either way each (arc, world) coin
         # is read at most once: a tail is in a world's frontier on one
         # level only.
-        live = frontier.any(axis=1)
         active = np.nonzero(live[plan.predecessors])[0]
         if active.size == 0:
             break
         # NOTE: ``frontier`` aliases ``new`` after the first
         # iteration, so the candidate gather (a fancy-index copy)
-        # must happen before ``new`` is zeroed.
+        # must happen before ``new`` is written.
         if active.size * 8 < plan.num_arcs:
-            coins = _coins(rng, plan.probs_f32[active], num_worlds).view(
+            coins = _coins(words, plan.coin_max[active], num_worlds).view(
                 np.uint64
             )
             drawn += active.size * num_worlds
@@ -339,22 +405,27 @@ def _simulate_chunk(
             if table is None:
                 # Arcs in the plan's order (grouped by target), so the
                 # reduceat below needs no permutation.
-                table = draw_coins(rng, plan, num_worlds).view(np.uint64)
+                table = _coins(words, plan.coin_max, num_worlds).view(
+                    np.uint64
+                )
                 drawn += plan.num_arcs * num_worlds
                 if fixed is not None:
                     fixed.apply(table)
             candidate = frontier[plan.predecessors]
             candidate &= table
-            new[:] = 0
             new[plan.has_in] = np.bitwise_or.reduceat(
                 candidate, plan.segment_starts, axis=0
             )
-        new &= ~visited_w
-        if not new.any():
-            break
-        visited_w |= new
+        new &= unvisited
+        # A level that reaches nothing leaves no active arc, so the
+        # next one stops.
+        live = new.any(axis=1)
+        # ``new`` lies inside ``unvisited``, so XOR clears exactly it.
+        unvisited ^= new
         frontier = new
         depth += 1
+    # Written through the word view into the uint8 array returned.
+    np.invert(unvisited, out=visited.view(np.uint64))
     return visited, drawn
 
 
@@ -379,8 +450,11 @@ def sample_reach_batch(
     sources:
         Source node ids; those outside *allowed* are dropped.
     rng:
-        A ``numpy.random.Generator``; the caller owns the state, so
-        successive calls continue one deterministic stream.
+        A ``numpy.random.Generator`` whose bit generator emits 64-bit
+        words (``numpy.random.default_rng``'s PCG64, PCG64DXSM, Philox
+        or SFC64; anything else, MT19937 included, raises
+        ``TypeError``).  The caller owns the state, so successive calls
+        continue one deterministic stream.
     allowed:
         The candidate node set sampling is restricted to (the
         candidate-induced subgraph of RQ-tree-MC verification);
@@ -397,6 +471,7 @@ def sample_reach_batch(
     """
     if num_worlds <= 0:
         raise ValueError(f"num_worlds must be positive, got {num_worlds}")
+    words = _word_source(rng)
     if isinstance(graph, ReachPlan):
         plan = graph
     else:
@@ -410,7 +485,6 @@ def sample_reach_batch(
             f"strata sizes {sizes.tolist()} do not split {num_worlds} "
             "worlds into non-empty segments"
         )
-    starts = np.cumsum(sizes) - sizes
     segment_of_world = np.repeat(np.arange(sizes.size), sizes)
 
     from ..service.metrics import get_registry
@@ -421,7 +495,6 @@ def sample_reach_batch(
 
     source_idx = plan.local_ids(sources)
     stratum_counts = np.zeros((sizes.size, plan.num_nodes), dtype=np.int64)
-    world_sizes = np.empty(num_worlds, dtype=np.int64)
     chunk = _chunk_size(plan, num_worlds)
     done = 0
     while done < num_worlds:
@@ -433,19 +506,25 @@ def sample_reach_batch(
         if strata is not None and len(strata.arcs):
             fixed = _FixedCoins(plan, strata, segment_of_world[done:end])
         visited, drawn = _simulate_chunk(
-            plan, source_idx, size, rng, max_hops, fixed
+            plan, source_idx, size, words, max_hops, fixed
         )
         registry.counter("accel.kernel_coins").inc(drawn)
-        # Only rows with a reached bit can count; unpack those, real
-        # worlds only (the pad worlds' bits are sliced off).
-        rows = np.nonzero(visited.view(np.uint64).any(axis=1))[0]
-        bits = np.unpackbits(visited[rows], axis=1, count=size)
-        world_sizes[done:end] = bits.sum(axis=0, dtype=np.int64)
-        # The segments this chunk overlaps, from their first world in it.
+        reached = visited.view(np.uint64)
+        # The segments this chunk overlaps.
         first, last = segment_of_world[done], segment_of_world[end - 1] + 1
-        stratum_counts[first:last, rows] += np.add.reduceat(
-            bits, np.maximum(starts[first:last], done) - done, axis=1,
-            dtype=np.int64,
-        ).T
+        if last - first == 1:
+            hits = np.bitwise_count(reached).sum(axis=1, dtype=np.int64)
+            # The sources' rows are ones in the pad worlds too.
+            hits[source_idx] -= visited.shape[1] * 8 - size
+            stratum_counts[first] += hits
+        else:
+            # One word mask per segment, zero in the pad worlds.
+            masks = pack_world_bits(
+                segment_of_world[done:end] == np.arange(first, last)[:, None]
+            ).view(np.uint64)
+            for row, mask in enumerate(masks, start=first):
+                stratum_counts[row] += np.bitwise_count(reached & mask).sum(
+                    axis=1, dtype=np.int64
+                )
         done = end
-    return BatchReachResult(plan.nodes, stratum_counts, world_sizes)
+    return BatchReachResult(plan.nodes, stratum_counts, num_worlds)

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Set, Tuple, Union
 
+import numpy as np
+
 from ..errors import (
     EmptySourceSetError,
     InvalidThresholdError,
@@ -41,7 +43,7 @@ from ..resilience.budget import (
     UNVERIFIED,
     BudgetClock,
     QueryBudget,
-    wilson_interval,
+    wilson_bounds,
 )
 
 __all__ = [
@@ -468,14 +470,23 @@ def verify_sampling_report(
         max_hops=max_hops,
     )
 
+    # The estimator counts hits per node in ascending node-id order.
+    nodes = sorted(subset)
+
+    def settle(index: np.ndarray, confirmed: np.ndarray) -> None:
+        statuses.update(zip(
+            [nodes[i] for i in index.tolist()],
+            [CONFIRMED if c else REJECTED for c in confirmed.tolist()],
+        ))
+
     if clock is None:
         estimator.run(num_samples)
-        kept = estimator.nodes_above(eta)
-        for node in subset:
-            statuses[node] = CONFIRMED if node in kept else REJECTED
+        # The count-threshold rule: reached in at least eta * K worlds.
+        confirmed = estimator.hits() >= eta * num_samples
+        settle(np.arange(len(nodes)), confirmed)
         _record_verify_metrics(num_samples)
         return VerificationReport(
-            kept=kept,
+            kept={nodes[i] for i in np.flatnonzero(confirmed).tolist()},
             statuses=statuses,
             worlds_used=num_samples,
             estimates=estimator.frequencies(),
@@ -485,46 +496,39 @@ def verify_sampling_report(
     if clock.budget.max_worlds is not None:
         target = min(target, clock.budget.max_worlds)
     confidence = clock.budget.confidence
-    undecided = set(subset)
     # Sources are answers by definition (R(S, s) = 1): confirm them up
     # front so a zero-world degraded run still reports them correctly.
     for node in present_sources:
         statuses[node] = CONFIRMED
-        undecided.discard(node)
+    undecided = np.array(
+        [i for i, node in enumerate(nodes) if node not in present_sources],
+        dtype=np.int64,
+    )
     done = 0
-    while done < target and undecided and not clock.expired():
+    while done < target and undecided.size and not clock.expired():
         step = min(_BUDGET_CHUNK_WORLDS, target - done)
         estimator.run(step)
         done += step
-        counts = estimator.counts()
-        for node in list(undecided):
-            low, high = wilson_interval(
-                counts.get(node, 0), done, confidence
-            )
-            if low > eta:
-                statuses[node] = CONFIRMED
-                undecided.discard(node)
-            elif high < eta:
-                statuses[node] = REJECTED
-                undecided.discard(node)
+        low, high = wilson_bounds(
+            estimator.hits()[undecided], done, confidence
+        )
+        confirmed = low > eta
+        decided = confirmed | (high < eta)
+        settle(undecided[decided], confirmed[decided])
+        undecided = undecided[~decided]
 
     degraded_reason: Optional[str] = None
-    if undecided:
+    if undecided.size:
         if done >= target:
             # World budget exhausted with time to spare: fall back to
             # the seed's count-threshold rule — a completed estimate at
             # reduced sample size, not a partial answer.
-            counts = estimator.counts()
-            threshold = eta * done
-            for node in undecided:
-                statuses[node] = (
-                    CONFIRMED if counts.get(node, 0) >= threshold
-                    else REJECTED
-                )
-            undecided = set()
+            settle(undecided, estimator.hits()[undecided] >= eta * done)
+            undecided = undecided[:0]
         else:
-            for node in undecided:
-                statuses[node] = UNVERIFIED
+            statuses.update(
+                (nodes[i], UNVERIFIED) for i in undecided.tolist()
+            )
             degraded_reason = (
                 "deadline expired during MC verification "
                 f"({done}/{target} worlds)"
@@ -536,7 +540,7 @@ def verify_sampling_report(
     return VerificationReport(
         kept=kept,
         statuses=statuses,
-        degraded=bool(undecided) or bool(dropped),
+        degraded=bool(undecided.size) or bool(dropped),
         degraded_reason=degraded_reason,
         worlds_used=done,
         estimates=estimator.frequencies() if done > 0 else {},

@@ -88,12 +88,20 @@ class ReachabilityFrequencyEstimator:
         """Number of worlds sampled so far."""
         return self._num_worlds
 
+    def hits(self) -> np.ndarray:
+        """``int64[n_local]``: in how many of the worlds sampled so far
+        each plan node was reached, in :attr:`plan` order (ascending
+        node id)."""
+        if self._counts is None:
+            return np.zeros(self.plan.num_nodes, dtype=np.int64)
+        return self._counts.sum(axis=0)
+
     def counts(self) -> Dict[int, int]:
         """Raw per-node hit counts accumulated so far (nodes reached at
         least once)."""
         if self._counts is None:
             return {}
-        totals = self._counts.sum(axis=0)
+        totals = self.hits()
         hit = totals.nonzero()[0]
         return dict(zip(self._plan.nodes[hit].tolist(), totals[hit].tolist()))
 
@@ -136,8 +144,12 @@ class ReachabilityFrequencyEstimator:
         """Per-node empirical reachability frequencies."""
         if self._num_worlds == 0:
             return {}
-        k = self._num_worlds
-        return {node: count / k for node, count in self.counts().items()}
+        totals = self.hits()
+        hit = totals.nonzero()[0]
+        return dict(zip(
+            self._plan.nodes[hit].tolist(),
+            (totals[hit] / self._num_worlds).tolist(),
+        ))
 
     def nodes_above(self, eta: float) -> Set[int]:
         """Nodes reached in at least ``ceil(eta * K)`` worlds.

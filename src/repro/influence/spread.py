@@ -53,8 +53,9 @@ def expected_spread_mc(
     Averages the reachable-set size over *num_samples* sampled worlds
     of the whole graph.  Unbiased; this is both the baseline Greedy's
     inner oracle and the paper's final accuracy yardstick for Figure 5.
-    The batched kernel (:mod:`repro.accel`) tallies per-world
-    reached-set sizes directly.
+    The reached-set sizes of all worlds add up to the batched kernel's
+    per-node hit counts (:mod:`repro.accel`), so their mean is the
+    counts' sum over the number of worlds.
     """
     seed_list = list(dict.fromkeys(seeds))
     if not seed_list:
@@ -64,7 +65,7 @@ def expected_spread_mc(
     batch = sample_reach_batch(
         graph, seed_list, num_samples, np.random.default_rng(seed)
     )
-    return float(batch.world_sizes.mean())
+    return float(batch.counts.sum() / num_samples)
 
 
 def expected_spread_histogram(

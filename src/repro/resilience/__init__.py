@@ -23,6 +23,7 @@ from .budget import (
     UNVERIFIED,
     BudgetClock,
     QueryBudget,
+    wilson_bounds,
     wilson_interval,
 )
 from .faultinject import INJECTION_POINTS, FaultPlan, fault_point
@@ -33,6 +34,7 @@ __all__ = [
     "UNVERIFIED",
     "QueryBudget",
     "BudgetClock",
+    "wilson_bounds",
     "wilson_interval",
     "INJECTION_POINTS",
     "FaultPlan",

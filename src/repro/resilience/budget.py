@@ -16,7 +16,8 @@ every candidate carries one of three statuses:
   just an unscreened one.
 
 Budgeted MC verification is chunked and uses the Wilson score interval
-(:func:`wilson_interval`) to settle nodes early: once a node's interval
+(:func:`wilson_interval`, or :func:`wilson_bounds` over an array of hit
+counts) to settle nodes early: once a node's interval
 clears ``eta`` on either side at the budget's confidence level, its
 verdict is final and sampling can stop as soon as no node is undecided.
 """
@@ -28,12 +29,15 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
+import numpy as np
+
 __all__ = [
     "CONFIRMED",
     "REJECTED",
     "UNVERIFIED",
     "QueryBudget",
     "BudgetClock",
+    "wilson_bounds",
     "wilson_interval",
 ]
 
@@ -80,6 +84,27 @@ def wilson_interval(hits: int, trials: int, confidence: float = 0.95
         p_hat * (1.0 - p_hat) / trials + z2 / (4.0 * trials * trials)
     )
     return max(0.0, centre - half), min(1.0, centre + half)
+
+
+def wilson_bounds(hits: np.ndarray, trials: int, confidence: float = 0.95
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`wilson_interval` of every count in *hits* at once.
+
+    The same IEEE operations in the same order, elementwise, so each
+    ``(low[i], high[i])`` equals ``wilson_interval(hits[i], trials,
+    confidence)`` bit for bit.
+    """
+    if trials <= 0:
+        return np.zeros(len(hits)), np.ones(len(hits))
+    z = _z_score(confidence)
+    p_hat = hits / trials
+    z2 = z * z
+    denom = 1.0 + z2 / trials
+    centre = (p_hat + z2 / (2.0 * trials)) / denom
+    half = (z / denom) * np.sqrt(
+        p_hat * (1.0 - p_hat) / trials + z2 / (4.0 * trials * trials)
+    )
+    return np.maximum(0.0, centre - half), np.minimum(1.0, centre + half)
 
 
 @dataclass(frozen=True)

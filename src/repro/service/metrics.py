@@ -44,10 +44,17 @@ __all__ = [
 ]
 
 #: Default histogram buckets (seconds): sub-millisecond cache hits up
-#: to minute-scale degraded queries, roughly 2.5x apart.
+#: to minute-scale degraded queries, 1, 1.5, 2, 3, 5 and 7 per decade
+#: (at most 5/3 apart).  Quantiles interpolate linearly inside a
+#: bucket, so a quantile read from a histogram is good to about one
+#: bucket ratio.
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
+    0.0001, 0.00015, 0.0002, 0.0003, 0.0005, 0.0007,
+    0.001, 0.0015, 0.002, 0.003, 0.005, 0.007,
+    0.01, 0.015, 0.02, 0.03, 0.05, 0.07,
+    0.1, 0.15, 0.2, 0.3, 0.5, 0.7,
+    1.0, 1.5, 2.0, 3.0, 5.0, 7.0,
+    10.0, 15.0, 20.0, 30.0, 50.0, 60.0,
 )
 
 

@@ -89,7 +89,6 @@ def test_batch_empty_sources(fig1_graph):
         fig1_graph, [], 50, np.random.default_rng(0)
     )
     assert batch.counts.sum() == 0
-    assert (batch.world_sizes == 0).all()
     assert batch.num_worlds == 50
 
 
@@ -99,7 +98,6 @@ def test_batch_sources_always_reached(fig1_graph):
     )
     assert batch.counts[0] == 64
     assert batch.counts[3] == 64
-    assert (batch.world_sizes >= 2).all()
 
 
 def test_batch_sources_outside_allowed_are_dropped(fig1_graph):
@@ -121,9 +119,18 @@ def test_batch_deterministic_per_seed(fig1_graph):
     a = sample_reach_batch(fig1_graph, [0], 500, np.random.default_rng(11))
     b = sample_reach_batch(fig1_graph, [0], 500, np.random.default_rng(11))
     assert (a.counts == b.counts).all()
-    assert (a.world_sizes == b.world_sizes).all()
     c = sample_reach_batch(fig1_graph, [0], 500, np.random.default_rng(12))
     assert not (a.counts == c.counts).all()
+    # Same seed, same worlds: the reached bits agree world by world.
+    plan = ReachPlan(csr_snapshot(fig1_graph))
+    worlds = [
+        mc_kernel._simulate_chunk(
+            plan, plan.local_ids([0]), 500,
+            np.random.default_rng(11).bit_generator, None, None,
+        )[0]
+        for _ in range(2)
+    ]
+    assert np.array_equal(worlds[0], worlds[1])
 
 
 def test_batch_chunked_run_covers_all_worlds(fig1_graph, monkeypatch):
@@ -134,7 +141,6 @@ def test_batch_chunked_run_covers_all_worlds(fig1_graph, monkeypatch):
     )
     assert batch.num_worlds == 100
     assert batch.counts[0] == 100
-    assert batch.world_sizes.shape == (100,)
     # frequencies remain sane estimates despite chunking
     assert 0.4 < batch.counts[3] / 100 < 0.9
 
@@ -182,7 +188,7 @@ def test_batch_memory_follows_candidate_set():
         tracemalloc.stop()
     assert batch.counts.shape == (16,)
     assert batch.counts[0] == 1000
-    whole_graph_coins = csr.num_arcs * 1000 * 4  # float32 uniforms
+    whole_graph_coins = csr.num_arcs * 1000 * 4  # uint32 draws
     assert peak < whole_graph_coins / 500, (peak, whole_graph_coins)
 
 
@@ -256,6 +262,62 @@ def test_draw_coins_bits_match_private_draw():
     assert np.array_equal(packed[:, : private.shape[1]], private)
     assert not packed[:, private.shape[1]:].any()
     assert np.array_equal(packed, mc_kernel.pack_world_bits(raw))
+
+
+def _float32_coins(rng, probs, size):
+    """The reference draw: one float32 uniform per coin, below p."""
+    return mc_kernel.pack_world_bits(
+        rng.random((probs.size, size), dtype=np.float32) < probs[:, None]
+    )
+
+
+@pytest.mark.parametrize("size", [1, 63, 1013])
+def test_draw_coins_odd_count_matches_float32_draw(size):
+    plan = ReachPlan(csr_snapshot(uncertain_gnp(30, 0.2, seed=5)))
+    assert plan.num_arcs * size % 2 == 1  # the last word's high half is unused
+    packed = mc_kernel.draw_coins(np.random.default_rng(3), plan, size)
+    expected = _float32_coins(np.random.default_rng(3), plan.probs_f32, size)
+    assert np.array_equal(packed, expected)
+
+
+@pytest.mark.parametrize("bit_generator", [
+    np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+])
+def test_draw_coins_even_call_sequence_matches_float32_draw(bit_generator):
+    plan = ReachPlan(csr_snapshot(uncertain_gnp(30, 0.2, seed=5)))
+    ours = np.random.Generator(bit_generator(8))
+    reference = np.random.Generator(bit_generator(8))
+    for size in (24, 64, 2, 100, 1000):
+        assert np.array_equal(
+            mc_kernel.draw_coins(ours, plan, size),
+            _float32_coins(reference, plan.probs_f32, size),
+        )
+
+
+def test_coin_thresholds_at_probability_extremes():
+    graph = UncertainGraph(4)
+    graph.add_arc(0, 1, 1.0)
+    graph.add_arc(0, 2, 1e-9)
+    graph.add_arc(0, 3, 1e-300)  # 0 in float32: no world has it
+    plan = ReachPlan(csr_snapshot(graph))
+    assert plan.num_arcs == 2
+    assert plan.coin_max.tolist() == [2**32 - 1, 255]
+    size = 4096
+    packed = mc_kernel.draw_coins(np.random.default_rng(1), plan, size)
+    expected = _float32_coins(np.random.default_rng(1), plan.probs_f32, size)
+    assert np.array_equal(packed, expected)
+    assert np.unpackbits(packed[0]).all()  # p = 1.0: heads in every world
+    batch = sample_reach_batch(graph, [0], size, np.random.default_rng(2))
+    assert batch.counts[1] == size
+    assert batch.counts[3] == 0
+
+
+def test_kernel_refuses_32_bit_generator(fig1_graph):
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(TypeError, match="64-bit"):
+        sample_reach_batch(fig1_graph, [0], 64, rng)
+    with pytest.raises(TypeError, match="64-bit"):
+        mc_kernel.draw_coins(rng, ReachPlan(csr_snapshot(fig1_graph)), 64)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import UncertainGraph
-from repro.accel import sample_reach_batch
+from repro.accel import ReachPlan, csr_snapshot, mc_kernel, sample_reach_batch
 from repro.core.verification import verify_sampling
 from repro.graph.exact import exact_hop_reliability, exact_reliability
 from repro.graph.generators import uncertain_gnp, uncertain_path
@@ -215,7 +215,18 @@ def test_all_allowed_matches_whole_graph():
         allowed=set(range(graph.num_nodes)),
     )
     assert np.array_equal(whole.counts, everything.counts)
-    assert np.array_equal(whole.world_sizes, everything.world_sizes)
+    # World by world too: one chunk's reached bits are identical.
+    csr = csr_snapshot(graph)
+    chunks = [
+        mc_kernel._simulate_chunk(
+            plan, plan.local_ids([0]), 4000,
+            np.random.default_rng(77).bit_generator, None, None,
+        )[0]
+        for plan in (
+            ReachPlan(csr), ReachPlan(csr, range(graph.num_nodes))
+        )
+    ]
+    assert np.array_equal(chunks[0], chunks[1])
 
 
 # ----------------------------------------------------------------------
@@ -338,8 +349,7 @@ def test_source_counts_equal_num_worlds(num_worlds):
         graph, [0, 7, 19], num_worlds, np.random.default_rng(3)
     )
     assert batch.counts[[0, 7, 19]].tolist() == [num_worlds] * 3
-    assert batch.world_sizes.shape == (num_worlds,)
-    assert (batch.world_sizes >= 3).all()
+    assert batch.num_worlds == num_worlds
     assert (batch.counts <= num_worlds).all()
 
 

@@ -14,10 +14,13 @@ Two families of guarantees:
 from __future__ import annotations
 
 import json
+import math
+import random
 
 import pytest
 
 from repro.service.metrics import (
+    DEFAULT_LATENCY_BUCKETS,
     Histogram,
     MetricsRegistry,
     get_registry,
@@ -75,6 +78,24 @@ def test_quantiles_batch_matches_individual_calls():
         histogram.observe(value)
     qs = (0.0, 0.5, 0.9, 0.99, 1.0)
     assert histogram.quantiles(qs) == [histogram.quantile(q) for q in qs]
+
+
+@pytest.mark.parametrize("median", [0.0003, 0.0012, 0.02, 2.0])
+def test_default_buckets_resolve_p90_to_one_bucket_ratio(median):
+    ratio = max(
+        upper / lower
+        for lower, upper in zip(
+            DEFAULT_LATENCY_BUCKETS, DEFAULT_LATENCY_BUCKETS[1:]
+        )
+    )
+    assert ratio <= 5 / 3
+    rng = random.Random(11)
+    sample = sorted(median * rng.lognormvariate(0.0, 0.4) for _ in range(2000))
+    histogram = Histogram("t.p90")
+    for value in sample:
+        histogram.observe(value)
+    exact = sample[math.ceil(0.9 * len(sample)) - 1]
+    assert exact / ratio <= histogram.quantile(0.9) <= exact * ratio
 
 
 def test_quantiles_batch_on_empty_histogram():

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import logging
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import (
     CONFIRMED,
@@ -39,7 +41,12 @@ from repro.core.verification import (
 from repro.graph.generators import nethept_like, uncertain_gnp
 from repro.graph.io import write_edge_list
 from repro.graph.sampling import ReachabilityFrequencyEstimator
-from repro.resilience import INJECTION_POINTS, fault_point, wilson_interval
+from repro.resilience import (
+    INJECTION_POINTS,
+    fault_point,
+    wilson_bounds,
+    wilson_interval,
+)
 
 #: A budget whose deadline is long past the moment it starts.
 EXPIRED = QueryBudget(deadline_seconds=1e-9)
@@ -284,6 +291,24 @@ class TestQueryBudget:
         tight_low, tight_high = wilson_interval(8000, 10000)
         assert (tight_high - tight_low) < (high - low)
         assert wilson_interval(0, 0) == (0.0, 1.0)
+
+    @given(
+        data=st.data(),
+        trials=st.integers(1, 16).map(lambda chunks: 256 * chunks),
+        confidence=st.sampled_from([0.9, 0.95, 0.975, 0.99]),
+    )
+    def test_wilson_bounds_equal_wilson_interval_bit_for_bit(
+        self, data, trials, confidence
+    ):
+        hits = np.array(data.draw(
+            st.lists(st.integers(0, trials), min_size=1, max_size=40)
+        ), dtype=np.int64)
+        low, high = wilson_bounds(hits, trials, confidence)
+        expected = np.array(
+            [wilson_interval(h, trials, confidence) for h in hits.tolist()]
+        )
+        assert low.tobytes() == np.ascontiguousarray(expected[:, 0]).tobytes()
+        assert high.tobytes() == np.ascontiguousarray(expected[:, 1]).tobytes()
 
     def test_deadline_expiry_returns_partial_result(self, er2000):
         """Acceptance: 50 ms deadline on the n=2000 graph returns a
